@@ -198,12 +198,18 @@ def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:
     """Gaussian EOF and the minimizer value m_opt.
 
     Separable states short-circuit to (0, 1): the touching variety does not
-    contain the infimum there.  Otherwise returns
+    contain the infimum there.  A pure state is its own optimal
+    decomposition, so its exact EOF f(Delta') is returned with
+    m_opt = (Delta' + 1/Delta')^2 / 4, for which
+    sqrt(m_opt) - sqrt(m_opt - 1) = Delta'.  Otherwise returns
     f(sqrt(m_opt) - sqrt(m_opt - 1)).
     """
     base = eof(params)
     if base.epr.separable or params.is_product:
         return 0.0, 1.0
+    if base.method == "pure":
+        dp = base.epr.delta0_prime
+        return base.eof, (dp + 1.0 / dp) ** 2 / 4.0
     m_opt, _ = minimize_reduced_determinant(params)
     m_opt = max(m_opt, 1.0)
     return f_aux(math.sqrt(m_opt) - math.sqrt(m_opt - 1.0)), m_opt

@@ -7,25 +7,18 @@ The reduced form of a two-mode CM carries one-mode squeezing factors
 * balance constraint: |sqrt(r1 r2) kx| - |kp / sqrt(r1 r2)|
                       = sqrt((n r1 - 1)(m r2 - 1)) - sqrt((n/r1 - 1)(m/r2 - 1))
 
-For fixed r1 the ratio constraint is a quadratic in r2, solved in closed
-form; the balance residual is then driven to zero in r1 by a bracketed
-scan plus Brent refinement.  Symmetric (n = m) and squeezed-thermal
-(kx = -kp) inputs have closed-form shortcuts.
+Both constraints need n/r1 - 1 >= 0 and m/r2 - 1 >= 0, so r1 lies in
+[1, n].  On that window the ratio constraint, a quadratic in r2 at fixed
+r1, has exactly one positive root, and the balance residual is driven to
+zero in r1 by bisection on [1, n].  Symmetric (n = m) and
+squeezed-thermal (kx = -kp) inputs have closed-form shortcuts.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq
-
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
 from .symplectic_core import StandardFormParams
-
-TOL_ROOT = 1e-12
-GRID_POINTS = 512
-
-_MIN_R2 = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,7 @@ class SqueezingSolution:
     residual_ratio: float
     residual_balance: float
     branch: str = "general"          # which solve path produced the result
-    multiple_brackets: bool = False  # more than one sign change was found
+    multiple_brackets: bool = False  # always False: one bracket, one root
 
     @property
     def max_residual(self) -> float:
@@ -49,31 +42,19 @@ class CriticalParams:
     b0: float
 
 
-def _r2_roots(n: float, m: float, r1: float) -> list[float]:
-    """Roots >= 1 of the ratio constraint, quadratic in r2 at fixed r1."""
+def _r2_of(n: float, m: float, r1: float) -> float:
+    """The positive root r2 of the ratio constraint at fixed r1 in [1, n].
+
+    With big = n r1 - 1 and small = n/r1 - 1 the constraint is the quadratic
+    small m r2^2 + (big - small) r2 - big m = 0.  On the window the product
+    of its roots, -big/small, is negative, so exactly one root is positive;
+    it runs from r2 = 1 at r1 = 1 to r2 = m at r1 = n.
+    """
     big = n * r1 - 1.0
     small = n / r1 - 1.0
-    aq = small * m
-    bq = big - small
-    cq = -big * m
-    if abs(aq) < 1e-300:
-        if abs(bq) < 1e-300:
-            return [1.0] if abs(cq) < 1e-12 else []
-        roots = [-cq / bq]
-    else:
-        disc = bq * bq - 4.0 * aq * cq
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        if bq == 0.0:
-            val = -cq / aq
-            roots = [math.sqrt(val)] if val >= 0.0 else []
-        else:
-            q = -0.5 * (bq + math.copysign(sq, bq))
-            roots = [q / aq]
-            if q != 0.0:
-                roots.append(cq / q)
-    return [r for r in roots if r >= _MIN_R2]
+    aq, bq, cq = small * m, big - small, -big * m
+    q = -0.5 * (bq + math.sqrt(bq * bq - 4.0 * aq * cq))
+    return cq / q
 
 
 def _balance_residual(params: StandardFormParams, r1: float, r2: float) -> float | None:
@@ -87,61 +68,43 @@ def _balance_residual(params: StandardFormParams, r1: float, r2: float) -> float
     return abs(s * kx) - abs(kp / s) - (math.sqrt(t1) - math.sqrt(t2))
 
 
-def _residual_at(params: StandardFormParams, r1: float) -> float | None:
-    best = None
-    for r2 in _r2_roots(params.n, params.m, r1):
-        val = _balance_residual(params, r1, r2)
-        if val is None:
-            continue
-        if best is None or abs(val) < abs(best):
-            best = val
-    return best
-
-
-def _pick_r2(params: StandardFormParams, r1: float) -> float:
-    roots = _r2_roots(params.n, params.m, r1)
-    if not roots:
-        raise NoRoot(f"no admissible r2 at r1 = {r1}")
-    return min(roots, key=lambda r2: abs(_balance_residual(params, r1, r2) or math.inf))
-
-
 def _ratio_residual(params: StandardFormParams, r1: float, r2: float) -> float:
     n, m = params.n, params.m
     return (n * r1 - 1.0) * (m / r2 - 1.0) - (n / r1 - 1.0) * (m * r2 - 1.0)
 
 
-def _sign_change_brackets(grid, vals):
-    brackets = []
-    for i in range(len(grid) - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if lo is None or hi is None:
-            continue
-        if lo == 0.0:
-            brackets.append((float(grid[i]), float(grid[i])))
-        elif lo * hi < 0.0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        brackets.append((float(grid[-1]), float(grid[-1])))
-    return brackets
+def _solve_r1(params: StandardFormParams) -> float:
+    """Root of the balance residual in r1 on [1, n], by bisection.
 
+    The residual is kx + kp >= 0 at r1 = 1.  The bracket is halved until its
+    ends are adjacent floats, and the end with the smaller |residual| is
+    returned.
+    """
+    n, m = params.n, params.m
 
-def _admissible_edge(params, grid, vals, iters=80):
-    """Upper edge of the first admissible r1 window, by bisection."""
-    first_bad = None
-    for i in range(1, len(grid)):
-        if vals[i] is None and vals[i - 1] is not None:
-            first_bad = i
-            break
-    if first_bad is None:
-        return None
-    lo, hi = float(grid[first_bad - 1]), float(grid[first_bad])
-    for _ in range(iters):
+    def residual(r1):
+        val = _balance_residual(params, r1, _r2_of(n, m, r1))
+        if val is None:
+            raise NoRoot(f"balance residual undefined at r1 = {r1}")
+        return val
+
+    if n <= 1.0:
+        raise NoRoot(f"the r1 window [1, n] is empty at n = {n}")
+    lo, hi = 1.0, n
+    f_lo, f_hi = residual(lo), residual(hi)
+    if f_lo * f_hi > 0.0:
+        raise NoRoot("balance residual has no sign change on the r1 bracket; "
+                     "input parameters do not describe a reducible state")
+    while f_lo != 0.0 and f_hi != 0.0:
         mid = 0.5 * (lo + hi)
-        if _residual_at(params, mid) is None:
-            hi = mid
+        if mid in (lo, hi):
+            break
+        f_mid = residual(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            lo = mid
-    return lo
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def solve_squeezings(params: StandardFormParams,
@@ -156,11 +119,12 @@ def solve_squeezings(params: StandardFormParams,
             (used by cross-check tests).
 
     Returns:
-        SqueezingSolution with both constraint residuals below TOL_ROOT.
+        SqueezingSolution carrying both constraint residuals.
 
     Raises:
-        NoRoot: if the balance residual never changes sign on the bracket,
-            which signals invalid input parameters.
+        NoRoot: if the balance residual has the same sign at both ends of
+            the window r1 in [1, n] (as for kx^2 > n m), or n <= 1 leaves no
+            window; either signals invalid input parameters.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
@@ -178,44 +142,18 @@ def solve_squeezings(params: StandardFormParams,
         if abs(kx + kp) <= 1e-12 * kx:
             return _finish(params, 1.0, 1.0, "squeezed_thermal")
 
-    grid = np.geomspace(1.0, 10.0 * max(n, m), GRID_POINTS)
-    vals = [_residual_at(params, float(r)) for r in grid]
-    brackets = _sign_change_brackets(grid, vals)
-    if not brackets:
-        # the admissible r1 window (real r2 root >= 1 with compatible
-        # signs) can be much narrower than the primary grid step; locate
-        # its edge and rescan inside it
-        edge = _admissible_edge(params, grid, vals)
-        if edge is not None:
-            grid = np.linspace(1.0, edge, GRID_POINTS)
-            vals = [_residual_at(params, float(r)) for r in grid]
-            brackets = _sign_change_brackets(grid, vals)
-    if not brackets:
-        raise NoRoot("balance residual has no sign change on the r1 bracket; "
-                     "input parameters do not describe a reducible state")
-    lo, hi = brackets[0]  # smallest-r1 root is the relevant one
-    if lo == hi:
-        r1 = lo
-    else:
-        def bracketed(r):
-            val = _residual_at(params, r)
-            if val is None:
-                raise NoRoot(f"residual undefined inside the bracket at r1 = {r}")
-            return val
-        r1 = brentq(bracketed, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return _finish(params, r1, _pick_r2(params, r1), "general",
-                   multiple=len(brackets) > 1)
+    r1 = _solve_r1(params)
+    return _finish(params, r1, _r2_of(n, m, r1), "general")
 
 
-def _finish(params: StandardFormParams, r1: float, r2: float, branch: str,
-            multiple: bool = False) -> SqueezingSolution:
+def _finish(params: StandardFormParams, r1: float, r2: float,
+            branch: str) -> SqueezingSolution:
     res_ratio = _ratio_residual(params, r1, r2)
     res_balance = _balance_residual(params, r1, r2)
     if res_balance is None:
         raise NoRoot("solution left the admissible sign region")
     return SqueezingSolution(r1=r1, r2=r2, residual_ratio=res_ratio,
-                             residual_balance=res_balance, branch=branch,
-                             multiple_brackets=multiple)
+                             residual_balance=res_balance, branch=branch)
 
 
 def critical_params(params: StandardFormParams,

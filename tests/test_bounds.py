@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (StandardFormParams, bounds_report, eof, f_aux,
-                          gaussian_eof, minimize_reduced_determinant,
-                          oliveira_upper, rigolin_lower, symmetric_eof)
+                          gaussian_eof, giovannetti_family,
+                          minimize_reduced_determinant, oliveira_upper,
+                          reduce_to_standard_params, rigolin_lower,
+                          squeezed_vacuum_cm, symmetric_eof)
 
 from conftest import random_entangled_params, random_symmetric_entangled_params
 
@@ -30,6 +32,23 @@ def test_gaussian_eof_separable_symmetric_is_zero():
     val, m_opt = gaussian_eof(p)
     assert val == 0.0 and m_opt == 1.0
     assert symmetric_eof(2.0, 1.0, -0.8).eof == 0.0
+
+
+def test_gaussian_eof_pure_states_equal_exact_eof():
+    # a pure state is its own decomposition: the Gaussian EOF is the EOF,
+    # and m_opt maps back to Delta' through sqrt(m) - sqrt(m - 1)
+    amplifier = giovannetti_family(2.0, 0.0)[0]
+    tmsv = reduce_to_standard_params(squeezed_vacuum_cm(0.7))
+    for p in (amplifier, tmsv):
+        base = eof(p)
+        assert base.method == "pure"
+        val, m_opt = gaussian_eof(p)
+        assert val == pytest.approx(base.eof, abs=1e-12)
+        assert f_aux(math.sqrt(m_opt) - math.sqrt(m_opt - 1.0)) == pytest.approx(
+            val, abs=1e-12)
+        report = bounds_report(p)
+        assert report.gaussian_eof == pytest.approx(report.eof, abs=1e-12)
+    assert gaussian_eof(amplifier)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_minimizer_constraint_residuals():

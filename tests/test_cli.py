@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaussian_eof
 from gaussian_eof.cli import main
 from gaussian_eof import squeezed_vacuum_cm, standard_form_cm, StandardFormParams
 
@@ -185,3 +189,16 @@ def test_unknown_command_exits_one(capsys):
     code = main(["frobnicate"])
     captured = capsys.readouterr()
     assert code == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_eof.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, gaussian_eof\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

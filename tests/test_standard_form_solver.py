@@ -5,9 +5,10 @@ import pytest
 
 from gaussian_eof import (CriticalParams, Degenerate, DomainError, NoRoot,
                           SqueezingSolution, StandardFormParams,
-                          critical_params, solve_squeezings)
+                          critical_params, eof, solve_squeezings)
 
-from conftest import random_entangled_params
+from conftest import (is_bona_fide_params, is_entangled_params,
+                      random_entangled_params)
 
 
 def _ratio_residual(p, r1, r2):
@@ -97,8 +98,8 @@ def test_general_solve_matches_independent_oracle():
 
 
 def test_narrow_admissible_window():
-    # with n close to 1 the admissible r1 window can be far narrower than
-    # the primary grid step; the edge rescan must still find the root
+    # with n close to 1 the admissible r1 window [1, n] is narrow; the
+    # bisection on that window must still find the root
     p = StandardFormParams(n=1.025506543232509, m=5.439158800175253,
                            kx=0.5114776783972613, kp=-0.09324799913869698)
     sol = solve_squeezings(p)
@@ -127,13 +128,47 @@ def test_general_solver_agrees_with_closed_forms():
 
 
 def test_random_states_residuals_and_bounds():
+    # n, m log-uniform on [1.0001, 50], each state also with its modes
+    # swapped; the solution stays in the window 1 <= r1 <= n, 1 <= r2 <= m
     rng = np.random.default_rng(17)
-    for _ in range(50):
-        p = random_entangled_params(rng)
-        sol = solve_squeezings(p)
-        assert sol.r1 >= 1.0 - 1e-12 and sol.r2 >= 1.0 - 1e-12
-        assert abs(_ratio_residual(p, sol.r1, sol.r2)) < 1e-10
-        assert abs(_balance_residual(p, sol.r1, sol.r2)) < 1e-10
+    log_lo, log_hi = math.log(1.0001), math.log(50.0)
+    checked = 0
+    while checked < 100:
+        n, m = np.exp(rng.uniform(log_lo, log_hi, 2))
+        kx = rng.uniform(0.05, 1.0) * (math.sqrt(n * m) - 1e-9)
+        kp = -rng.uniform(0.02, 1.0) * kx
+        if not (is_bona_fide_params(n, m, kx, kp, margin=1e-9)
+                and is_entangled_params(n, m, kx, kp)):
+            continue
+        for p in (StandardFormParams(n, m, kx, kp),
+                  StandardFormParams(m, n, kx, kp)):
+            sol = solve_squeezings(p)
+            assert 1.0 <= sol.r1 <= p.n and 1.0 <= sol.r2 <= p.m
+            assert abs(_ratio_residual(p, sol.r1, sol.r2)) < 1e-10
+            assert abs(_balance_residual(p, sol.r1, sol.r2)) < 1e-10
+            checked += 1
+
+
+def test_eof_continuous_across_closed_form_switches():
+    # the closed forms take over at 1e-12 relative; states 3e-12 outside
+    # (general solve, root near the r1 = 1 end for kx ~ -kp) and 5e-13
+    # inside give the same EOF
+    cases = (
+        ((2.0, 1.5, 1.0, -1.0), "squeezed_thermal",
+         lambda d: StandardFormParams(2.0, 1.5, 1.0, -(1.0 - d))),
+        ((2.0, 2.0, 1.5, -1.2), "symmetric",
+         lambda d: StandardFormParams(2.0, 2.0 * (1.0 + d), 1.5, -1.2)),
+        ((2.0, 2.0, 1.5, -1.2), "symmetric",
+         lambda d: StandardFormParams(2.0 * (1.0 - d), 2.0, 1.5, -1.2)),
+    )
+    for base, closed_branch, perturbed in cases:
+        exact = eof(StandardFormParams(*base)).eof
+        assert exact > 0.1
+        outside, inside = perturbed(3e-12), perturbed(5e-13)
+        assert solve_squeezings(outside).branch == "general"
+        assert solve_squeezings(inside).branch == closed_branch
+        assert eof(outside).eof == pytest.approx(exact, abs=1e-9)
+        assert eof(inside).eof == pytest.approx(exact, abs=1e-9)
 
 
 def test_solver_input_validation():
