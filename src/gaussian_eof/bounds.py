@@ -7,8 +7,8 @@ det(C_x - Gamma) = 0 and det(Gamma - C_p^{-1}) = 0, where C_x and C_p are
 the x and p blocks of the standard-form CM.  At fixed x1 the two touching
 conditions are rectangular hyperbolas in (x0+x3, x0-x3) whose intersection
 lies on a line, so the feasible points are roots of a single quadratic;
-the remaining one-dimensional problem in x1 is scanned and polished by
-golden section.
+the remaining one-dimensional problem in x1 is scanned in numpy, polished
+by golden section.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eof_core import eof, f_aux, symmetric_eof
+from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
 from .symplectic_core import StandardFormParams, standard_form_cm, validate_cm
 
@@ -125,39 +125,86 @@ def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12):
     return out
 
 
+def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
+    """Smallest objective of _candidates_at_x1 at every x1 in xs, inf where none.
+
+    The same closed form, thresholds and feasibility filters, evaluated over
+    the whole grid with the same operations in the same order, so each entry
+    equals the scalar minimum exactly.  The squares go through float_power,
+    i.e. the C pow that the scalar ``** 2`` calls; ``x * x`` can differ from
+    it in the last bit.
+    """
+    alpha2 = np.float_power(kx - xs, 2)
+    beta2 = np.float_power(xs - p12, 2)
+    a_coef = cx22 - p22
+    b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
+    c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
+    best = np.full(xs.shape, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(a_coef) < 1e-14:
+            roots = [(c_coef / b_coef, np.abs(b_coef) > 1e-14)]
+        else:
+            disc = b_coef * b_coef - 4.0 * a_coef * c_coef
+            real = ~(disc < 0.0)
+            sq = np.sqrt(disc)
+            q = np.where(b_coef >= 0.0, 0.5 * (b_coef + sq), 0.5 * (b_coef - sq))
+            roots = [(q / a_coef, real), (c_coef / q, real & (q != 0.0))]
+        den = cx11 - p11
+        for u, ok in roots:
+            if abs(den) > 1e-12:
+                v = (-a_coef * u + (cx11 * cx22 - alpha2)
+                     - (p11 * p22 - beta2)) / den
+            else:
+                du = cx11 - u
+                ok = ok & ~(np.abs(du) < 1e-14)
+                v = cx22 - alpha2 / du
+            det_g = u * v - xs * xs
+            rejected = ((u <= 0.0) | (v <= 0.0) | (det_g <= 0.0)
+                        | ((cx11 - u) < -_PSD_SIDE_TOL)
+                        | ((cx22 - v) < -_PSD_SIDE_TOL)
+                        | ((u - p11) < -_PSD_SIDE_TOL)
+                        | ((v - p22) < -_PSD_SIDE_TOL))
+            obj = 1.0 + xs * xs / det_g
+            best = np.where(ok & ~rejected, np.minimum(best, obj), best)
+    return best
+
+
+def _scan_coefficients(params: StandardFormParams) -> tuple[float, ...]:
+    """(cx11, cx22, kx, p11, p22, p12): C_x entries and C_p^{-1} entries."""
+    cx, cp = _xp_blocks(params)
+    pinv = np.linalg.inv(cp)
+    return (float(cx[0, 0]), float(cx[1, 1]), float(cx[0, 1]),
+            float(pinv[0, 0]), float(pinv[1, 1]), float(pinv[0, 1]))
+
+
 def minimize_reduced_determinant(params: StandardFormParams,
                                  n_scan: int = SCAN_POINTS
                                  ) -> tuple[float, GammaCandidate]:
     """Minimize det of the reduced pure-state CM over the touching variety.
 
-    Scans x1 in [-kx, kx], solves the touching conditions exactly at each
-    point and polishes the winner by golden section to 1e-12 in the
-    objective.
+    Scans x1 in [-kx, kx] in numpy, solving the touching conditions exactly
+    at every grid point at once, and polishes the winner by golden section
+    to 1e-12 in the objective.
 
     Raises:
         Infeasible: no parameter point satisfies both constraints with a
             positive-definite Gamma (separable or invalid input).
     """
-    cx, cp = _xp_blocks(params)
-    pinv = np.linalg.inv(cp)
-    cx11, cx22, kx = float(cx[0, 0]), float(cx[1, 1]), float(cx[0, 1])
-    p11, p22, p12 = float(pinv[0, 0]), float(pinv[1, 1]), float(pinv[0, 1])
+    coefs = _scan_coefficients(params)
+    kx = coefs[2]
 
     def best(x1):
-        cands = _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12)
+        cands = _candidates_at_x1(x1, *coefs)
         if not cands:
             return None
         return min(cands, key=lambda c: c[2])
 
     xs = np.linspace(-kx, kx, n_scan)
-    found = []
-    for x in xs:
-        cand = best(float(x))
-        if cand is not None:
-            found.append((cand[2], float(x), cand))
-    if not found:
+    grid = _grid_objective(xs, *coefs)
+    if not np.any(grid < math.inf):
         raise Infeasible("no feasible touching point; state separable or invalid")
-    obj0, x1_0, _ = min(found, key=lambda t: t[0])
+    i0 = int(np.argmin(grid))
+    obj0, x1_0 = float(grid[i0]), float(xs[i0])
     step = xs[1] - xs[0] if n_scan > 1 else kx
     lo = max(x1_0 - step, -kx)
     hi = min(x1_0 + step, kx)
@@ -204,7 +251,12 @@ def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:
     sqrt(m_opt) - sqrt(m_opt - 1) = Delta'.  Otherwise returns
     f(sqrt(m_opt) - sqrt(m_opt - 1)).
     """
-    base = eof(params)
+    return _gaussian_eof(params, eof(params))
+
+
+def _gaussian_eof(params: StandardFormParams,
+                  base: EofReport) -> tuple[float, float]:
+    """gaussian_eof with the state's eof() report already in hand."""
     if base.epr.separable or params.is_product:
         return 0.0, 1.0
     if base.method == "pure":
@@ -254,7 +306,7 @@ def bounds_report(params: StandardFormParams, tol: float = 1e-9) -> BoundsReport
             upper bound; this signals an implementation bug.
     """
     base = eof(params)
-    egf, m_opt = gaussian_eof(params)
+    egf, m_opt = _gaussian_eof(params, base)
     lower = rigolin_lower(params)
     upper = oliveira_upper(params)
     value = base.eof

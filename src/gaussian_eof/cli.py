@@ -154,8 +154,9 @@ def _table1_rows() -> tuple[list[dict], dict]:
     rows = []
     for row in ref["rows"]:
         params = StandardFormParams(n=row["n"], m=row["m"], kx=row["kx"], kp=row["kp"])
-        e = eof(params).eof
-        egf, _ = bounds_mod.gaussian_eof(params)
+        base = eof(params)
+        e = base.eof
+        egf, _ = bounds_mod._gaussian_eof(params, base)
         lower = bounds_mod.rigolin_lower(params)
         upper = bounds_mod.oliveira_upper(params)
         cells = {

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import (StandardFormParams, bounds_report, eof, f_aux,
-                          gaussian_eof, giovannetti_family,
+from gaussian_eof import (Infeasible, StandardFormParams, bounds_report, eof,
+                          f_aux, gaussian_eof, giovannetti_family,
                           minimize_reduced_determinant, oliveira_upper,
                           reduce_to_standard_params, rigolin_lower,
                           squeezed_vacuum_cm, symmetric_eof)
+from gaussian_eof import bounds as bounds_mod
+from gaussian_eof import cli, eof_core
 
 from conftest import random_entangled_params, random_symmetric_entangled_params
 
@@ -72,13 +74,87 @@ def test_mesh_independence_on_benchmarks(table1_params):
         assert abs(ec - ef) < 1e-9
 
 
+def _scalar_grid_objective(xs, coefs):
+    out = []
+    for x1 in xs:
+        cands = bounds_mod._candidates_at_x1(float(x1), *coefs)
+        out.append(min(c[2] for c in cands) if cands else math.inf)
+    return np.array(out)
+
+
+def test_grid_objective_equals_scalar_candidates(table1_params):
+    rng = np.random.default_rng(79)
+    states = table1_params + [random_entangled_params(rng) for _ in range(50)]
+    for p in states:
+        coefs = bounds_mod._scan_coefficients(p)
+        xs = np.linspace(-coefs[2], coefs[2], bounds_mod.SCAN_POINTS)
+        grid = bounds_mod._grid_objective(xs, *coefs)
+        assert (grid == _scalar_grid_objective(xs, coefs)).all()
+        assert np.isfinite(grid).any()
+
+
+@pytest.mark.parametrize("coefs, n_points", [
+    # (cx11, cx22, kx, p11, p22, p12)
+    # a_coef = cx22 - p22 = 0: linear in u, and b_coef = 0 at x1 = 0.5
+    ((3.0, 1.5, 1.0, 0.5, 1.5, 0.0), 5),
+    # a_coef = -3e-15 is taken as 0; the quadratic would give a feasible
+    # point at x1 = 0.5
+    ((3.0, 2.0, 0.5, 2.0, 2.000000000000003, 0.5), 17),
+    # den = cx11 - p11 = 0: v from the x constraint, u = cx11 skipped
+    ((2.0, 3.0, 1.0, 2.0, 0.5, 0.0), 5),
+    # den = -3e-13 is taken as 0, which leaves one feasible point at x1 = 0.5
+    ((3.0, 2.0, 0.5, 3.0000000000003, -1.0, 0.0), 9),
+    # b_coef = c_coef = 0 at x1 = 0, so q = 0 there; feasible at x1 > 0
+    ((1.0, 5.0, 2.0, 0.0, 1.0, 0.0), 5),
+    # disc < 0 for x1 <= 0, feasible for x1 > 0
+    ((2.0, 1.0, 1.0, 0.25, 0.5, 0.5), 9),
+    # roots with u <= 0 or v <= 0 that pass the four feasible-side filters
+    ((0.5, -0.5, 1.0, -1.0, -2.0, 0.0), 5),
+])
+def test_grid_objective_degenerate_branches(coefs, n_points):
+    # no random state reaches these branches, so the coefficients are
+    # given directly
+    xs = np.linspace(-coefs[2], coefs[2], n_points)
+    grid = bounds_mod._grid_objective(xs, *coefs)
+    assert (grid == _scalar_grid_objective(xs, coefs)).all()
+
+
+def test_minimizer_empty_grid_is_infeasible():
+    with pytest.raises(Infeasible):
+        minimize_reduced_determinant(StandardFormParams(2.0, 1.5, 1.0, -1.0),
+                                     n_scan=0)
+
+
+def test_bounds_report_runs_the_pipeline_once(monkeypatch, table1_params):
+    p = StandardFormParams(2.0, 1.5, 1.2, -1.0)
+    assert eof(p).method == "general"
+    calls = []
+    solve = eof_core.solve_squeezings
+
+    def counted(params):
+        calls.append(params)
+        return solve(params)
+
+    monkeypatch.setattr(eof_core, "solve_squeezings", counted)
+    report = bounds_report(p)
+    assert report.gaussian_eof > report.eof > 0.0
+    assert len(calls) == 1
+    calls.clear()
+    cli._table1_rows()
+    assert len(calls) == len(table1_params)
+
+
 def test_gaussian_eof_dominates_exact_eof():
+    # the Gaussian EOF is an achievable upper bound on the EOF, and a mode
+    # swap is a local operation that leaves it unchanged
     rng = np.random.default_rng(61)
-    for _ in range(15):
-        p = random_entangled_params(rng)
+    for _ in range(200):
+        p = random_entangled_params(rng, n_hi=50.0)
         val, m_opt = gaussian_eof(p)
         assert m_opt >= 1.0
         assert val >= eof(p).eof - 1e-9
+        swapped, _ = gaussian_eof(StandardFormParams(p.m, p.n, p.kx, p.kp))
+        assert abs(val - swapped) <= 1e-9
 
 
 def test_gaussian_eof_equality_on_symmetric_randoms():
