@@ -17,8 +17,8 @@ from .eof_core import (EofReport, eof, eof_from_cm, f_aux, g_kappa,
 from .epr_uncertainty import (EprQuantities, delta0, delta_general,
                               delta_prime, delta_pure_squeezed,
                               r_from_delta_prime, uncertainty_floor)
-from .errors import (AmbiguousSigns, Degenerate, DegenerateCorrelation,
-                     DomainError, GaussianEofError, Infeasible, InvalidState,
+from .errors import (AmbiguousSigns, Degenerate, DomainError,
+                     GaussianEofError, Infeasible, InvalidState,
                      NonFiniteEntry, NoRoot, NotPsd, SandwichViolation,
                      TruncationTooCoarse)
 from .fock_oracle import (SchmidtSpectrum, delta_of_spectrum,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OMEGA", "AmbiguousSigns", "BoundsReport", "CriticalParams",
-    "Degenerate", "DegenerateCorrelation", "DecompositionSpec", "DomainError",
+    "Degenerate", "DecompositionSpec", "DomainError",
     "EofReport", "EprQuantities", "GammaCandidate", "GaussianEofError",
     "Infeasible", "InvalidState", "NonFiniteEntry", "NoRoot", "NotPsd",
     "SandwichViolation", "SchmidtSpectrum", "SqueezingSolution",

@@ -23,6 +23,7 @@ from .symplectic_core import StandardFormParams, standard_form_cm, validate_cm
 SCAN_POINTS = 2048
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PSD_SIDE_TOL = 1e-11
+SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
 
 @dataclass(frozen=True)
@@ -276,46 +277,39 @@ def rigolin_lower(params: StandardFormParams) -> float:
 def oliveira_upper(params: StandardFormParams) -> float | None:
     """Upper bound: EOF of the symmetric surrogate at the smaller invariant.
 
-    The construction assumes the mode ordering n >= m; a mode swap is a
-    local operation leaving the EOF unchanged, so inputs with n < m are
-    reordered first.  The surrogate keeps kx, kp, sets both invariants to
-    the smaller of n and m, and its CM is assembled with squeezing factors
-    r1 = r2 = sqrt((hi + kp)/(hi - kx)) built from the larger invariant,
-    then checked bona fide.  A non-physical surrogate returns None (a
-    reported outcome, not an error).
+    The surrogate keeps kx, kp and sets both invariants to the smaller of
+    n and m; a mode swap is a local operation leaving the EOF unchanged, so
+    the mode order does not matter.  The surrogate's plain standard form is
+    checked bona fide (local squeezing leaves the symplectic eigenvalues
+    unchanged, so no squeezed form needs checking).  A non-physical
+    surrogate returns None (a reported outcome, not an error).
     """
-    hi = max(params.n, params.m)
     lo = min(params.n, params.m)
-    kx, kp = params.kx, params.kp
-    if hi - kx <= 0.0 or hi + kp <= 0.0:
+    surrogate = StandardFormParams(n=lo, m=lo, kx=params.kx, kp=params.kp)
+    if not validate_cm(standard_form_cm(surrogate, 1.0, 1.0)).is_bona_fide:
         return None
-    r = math.sqrt((hi + kp) / (hi - kx))
-    surrogate = StandardFormParams(n=lo, m=lo, kx=kx, kp=kp)
-    gamma = standard_form_cm(surrogate, r, r)
-    if not validate_cm(gamma).is_bona_fide:
-        return None
-    return symmetric_eof(lo, kx, kp).eof
+    return symmetric_eof(lo, params.kx, params.kp).eof
 
 
-def bounds_report(params: StandardFormParams, tol: float = 1e-9) -> BoundsReport:
+def bounds_report(params: StandardFormParams) -> BoundsReport:
     """All bounds plus the EOF, with the sandwich inequalities asserted.
 
     Raises:
         SandwichViolation: the EOF fell outside
-            [rigolin_lower - tol, gaussian_eof + tol] or above a physical
-            upper bound; this signals an implementation bug.
+            [rigolin_lower - SANDWICH_TOL, gaussian_eof + SANDWICH_TOL] or
+            above a physical upper bound; this signals an implementation bug.
     """
     base = eof(params)
     egf, m_opt = _gaussian_eof(params, base)
     lower = rigolin_lower(params)
     upper = oliveira_upper(params)
     value = base.eof
-    if value < lower - tol or value > egf + tol:
-        raise SandwichViolation(
-            f"eof {value} outside [{lower}, {egf}] beyond tolerance {tol}")
-    if upper is not None and value > upper + tol:
-        raise SandwichViolation(
-            f"eof {value} above the upper bound {upper} beyond tolerance {tol}")
+    if value < lower - SANDWICH_TOL or value > egf + SANDWICH_TOL:
+        raise SandwichViolation(f"eof {value} outside [{lower}, {egf}] "
+                                f"beyond tolerance {SANDWICH_TOL}")
+    if upper is not None and value > upper + SANDWICH_TOL:
+        raise SandwichViolation(f"eof {value} above the upper bound {upper} "
+                                f"beyond tolerance {SANDWICH_TOL}")
     return BoundsReport(eof=value, gaussian_eof=egf, rigolin_lower=lower,
                         oliveira_upper=upper,
                         oliveira_physical=upper is not None, m_opt=m_opt)

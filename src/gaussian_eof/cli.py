@@ -154,16 +154,10 @@ def _table1_rows() -> tuple[list[dict], dict]:
     rows = []
     for row in ref["rows"]:
         params = StandardFormParams(n=row["n"], m=row["m"], kx=row["kx"], kp=row["kp"])
-        base = eof(params)
-        e = base.eof
-        egf, _ = bounds_mod._gaussian_eof(params, base)
-        lower = bounds_mod.rigolin_lower(params)
-        upper = bounds_mod.oliveira_upper(params)
-        cells = {
-            "eof": (e, row["eof"], tol["eof"]),
-            "gaussian_eof": (egf, row["gaussian_eof"], tol["gaussian_eof"]),
-            "rigolin_lower": (lower, row["rigolin_lower"], tol["rigolin_lower"]),
-        }
+        computed = bounds_mod.bounds_report(params)
+        upper = computed.oliveira_upper
+        cells = {name: (getattr(computed, name), row[name], tol[name])
+                 for name in ("eof", "gaussian_eof", "rigolin_lower")}
         out = {"params": [row["n"], row["m"], row["kx"], row["kp"]],
                "marians_eof": row["marians_eof"], "cells": {}}
         for name, (got, want, cell_tol) in cells.items():
@@ -297,6 +291,14 @@ def _error_payload(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
+# first match wins: OSError and ValueError (json.JSONDecodeError among them)
+# come from reading input files
+_EXIT_CODES = ((INPUT_ERRORS, _EXIT_INPUT), (NUMERICAL_ERRORS, _EXIT_NUMERICAL),
+               (VERIFICATION_ERRORS, _EXIT_VERIFICATION),
+               ((OSError, ValueError), _EXIT_INPUT),
+               (GaussianEofError, _EXIT_NUMERICAL))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -305,21 +307,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except INPUT_ERRORS as exc:
+    except (GaussianEofError, OSError, ValueError) as exc:
         print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return _EXIT_INPUT
-    except NUMERICAL_ERRORS as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except VERIFICATION_ERRORS as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return _EXIT_VERIFICATION
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return _EXIT_INPUT
-    except GaussianEofError as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def entry() -> None:

@@ -6,7 +6,7 @@ critical Duan parameter and maps it through f to the EOF in bits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .epr_uncertainty import EprQuantities, delta0, delta_prime
 from .errors import Degenerate, DomainError, InvalidState
@@ -76,9 +76,11 @@ def _separable_epr(a0: float = 1.0, b0: float = 0.0) -> EprQuantities:
 def eof(params: StandardFormParams) -> EofReport:
     """Entanglement of formation of the state with the given standard form.
 
-    Dispatch: product states and separable states report 0; pure states use
-    the exact entropy of the two-mode squeezed vacuum; everything else runs
-    the squeezing solve, the critical-parameter evaluation and f.
+    Dispatch, decided here and nowhere else: product and separable states
+    report 0; pure and symmetric (n = m within 1e-12 relative) states take
+    the symmetric closed form; squeezed thermal states (kx = -kp within
+    1e-12 relative) take the squeezed-thermal closed form; everything else
+    runs the squeezing solve, the critical-parameter evaluation and f.
 
     Raises:
         DomainError: parameters not canonical.
@@ -93,14 +95,15 @@ def eof(params: StandardFormParams) -> EofReport:
         raise InvalidState(
             f"parameters violate the uncertainty relation: nu = "
             f"{report.symplectic_eigenvalues}")
-    if report.is_pure:
-        # pure states reduce to the two-mode squeezed vacuum; its
-        # uncertainty equals e^(-2r) and f reproduces the exact entropy
-        dp = math.sqrt((params.n - params.kx) * (params.n + params.kp))
-        epr = EprQuantities(a0=1.0, b0=0.0, delta0=dp, delta0_prime=dp,
-                            separable=False)
-        return EofReport(params=params.with_squeezings(1.0, 1.0), epr=epr,
-                         eof=f_aux(dp), method="pure")
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    if report.is_pure or abs(n - m) <= 1e-12 * max(n, m):
+        # a pure state is a two-mode squeezed vacuum, hence symmetric
+        closed = symmetric_eof(n, kx, kp)
+        if report.is_pure and not closed.epr.separable:
+            return replace(closed, method="pure")
+        return closed
+    if abs(kx + kp) <= 1e-12 * kx:
+        return _squeezed_thermal(params)
     sol = solve_squeezings(params)
     try:
         crit = critical_params(params, sol)
@@ -111,7 +114,7 @@ def eof(params: StandardFormParams) -> EofReport:
     if epr.separable:
         return EofReport(params=solved, epr=epr, eof=0.0, method="separable")
     return EofReport(params=solved, epr=epr, eof=f_aux(epr.delta0_prime),
-                     method=sol.branch)
+                     method="general")
 
 
 def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
@@ -143,22 +146,36 @@ def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
         raise DomainError(f"need n >= m >= 1, got ({n}, {m})")
     if kx <= 0.0:
         raise DomainError(f"need kx > 0, got {kx}")
-    nt, mt = n - 1.0, m - 1.0
-    if nt <= 1e-12 and mt <= 1e-12:
+    if n - 1.0 <= 1e-12 and m - 1.0 <= 1e-12:
         raise Degenerate("n = m = 1 is the pure vacuum limit")
-    report = validate_cm(standard_form_cm(
-        StandardFormParams(n=n, m=m, kx=kx, kp=-kx), 1.0, 1.0))
+    params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
+    report = validate_cm(standard_form_cm(params, 1.0, 1.0))
     if not report.is_bona_fide:
         raise InvalidState(
             f"squeezed thermal parameters not bona fide: nu = "
             f"{report.symplectic_eigenvalues}")
-    params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx, r1=1.0, r2=1.0)
-    b0 = (n - m) / (n + m - 2.0)
+    return _squeezed_thermal(params)
+
+
+def _squeezed_thermal(params: StandardFormParams) -> EofReport:
+    """The squeezed-thermal closed form (kx = -kp), in either mode order.
+
+    The solved squeezings are r1 = r2 = 1.  A mode within 1e-12 of the
+    vacuum is pure, which leaves the critical parameter indeterminate and
+    the state a product: it reports separable with a0 = 1, b0 = 0.
+    """
+    n, m, kx = params.n, params.m, params.kx
+    solved = params.with_squeezings(1.0, 1.0)
+    nt, mt = n - 1.0, m - 1.0
+    if nt <= 1e-12 or mt <= 1e-12:
+        return EofReport(params=solved, epr=_separable_epr(), eof=0.0,
+                         method="separable")
+    b0 = abs(n - m) / (n + m - 2.0)
     cross = kx * math.sqrt(nt * mt)
     d0 = (n * mt + m * nt - 2.0 * cross) / (nt + mt)
-    a0 = (mt / nt) ** 0.25 if nt > 1e-12 else 1.0
+    a0 = (mt / nt) ** 0.25
     if d0 >= 1.0:
-        return EofReport(params=params, epr=_separable_epr(a0=a0, b0=b0),
+        return EofReport(params=solved, epr=_separable_epr(a0=a0, b0=b0),
                          eof=0.0, method="separable")
     rad1 = n * mt - cross
     rad2 = m * nt - cross
@@ -169,7 +186,7 @@ def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
           / (math.sqrt(nt) + math.sqrt(mt))) ** 2
     epr = EprQuantities(a0=a0, b0=b0, delta0=d0, delta0_prime=dp,
                         separable=False)
-    return EofReport(params=params, epr=epr, eof=f_aux(dp),
+    return EofReport(params=solved, epr=epr, eof=f_aux(dp),
                      method="squeezed_thermal")
 
 
@@ -186,10 +203,10 @@ def giovannetti_family(kappa: float, nbar: float
     """Amplifier-channel family: squeezed thermal states indexed by gain and photon number.
 
     Builds n = 2(nbar+1)kappa - 1, m = n - 2 nbar,
-    kx = -kp = 2(nbar+1) sqrt(kappa(kappa-1)), evaluates the EOF through the
-    squeezed-thermal closed form and returns g(kappa) for comparison.  At
-    kappa = 1 the state is a product and the EOF is g(1) = 0; at nbar = 0 it
-    is pure and the EOF equals g(kappa) exactly.
+    kx = -kp = 2(nbar+1) sqrt(kappa(kappa-1)), evaluates its EOF with eof()
+    (the squeezed-thermal closed form) and returns g(kappa) for comparison.
+    At kappa = 1 the state is a product and the EOF is g(1) = 0; at
+    nbar = 0 it is pure and the EOF equals g(kappa) exactly.
     """
     if kappa < 1.0 or nbar < 0.0:
         raise DomainError("need kappa >= 1 and nbar >= 0")
@@ -197,11 +214,7 @@ def giovannetti_family(kappa: float, nbar: float
     m = 2.0 * (nbar + 1.0) * kappa - (2.0 * nbar + 1.0)
     kx = 2.0 * (nbar + 1.0) * math.sqrt(kappa * (kappa - 1.0))
     params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
-    if kx < 1e-12:
-        report = eof(params)  # product state at kappa = 1
-    else:
-        report = squeezed_thermal_eof(n, m, kx)
-    return params, report, g_kappa(kappa)
+    return params, eof(params), g_kappa(kappa)
 
 
 def eof_from_cm(gamma) -> EofReport:

@@ -29,10 +29,6 @@ class AmbiguousSigns(GaussianEofError):
     """Local invariants admit no real correlation pair (kx, kp)."""
 
 
-class DegenerateCorrelation(GaussianEofError):
-    """Correlation block is singular in a way that leaves (kx, kp) undefined."""
-
-
 # --- numerical failures ---
 
 class NoRoot(GaussianEofError):
@@ -61,7 +57,6 @@ class SandwichViolation(GaussianEofError):
     """EOF fell outside the lower/upper bound sandwich; implementation bug."""
 
 
-INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState, AmbiguousSigns,
-                DegenerateCorrelation)
+INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState, AmbiguousSigns)
 NUMERICAL_ERRORS = (NoRoot, Degenerate, Infeasible, NotPsd, TruncationTooCoarse)
 VERIFICATION_ERRORS = (SandwichViolation,)

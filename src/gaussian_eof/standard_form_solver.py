@@ -10,8 +10,10 @@ The reduced form of a two-mode CM carries one-mode squeezing factors
 Both constraints need n/r1 - 1 >= 0 and m/r2 - 1 >= 0, so r1 lies in
 [1, n].  On that window the ratio constraint, a quadratic in r2 at fixed
 r1, has exactly one positive root, and the balance residual is driven to
-zero in r1 by bisection on [1, n].  Symmetric (n = m) and
-squeezed-thermal (kx = -kp) inputs have closed-form shortcuts.
+zero in r1 by bisection on [1, n].  The solver takes no shortcut for
+symmetric (n = m) or squeezed-thermal (kx = -kp) inputs: ``eof()`` sends
+those to their closed forms, and this solve is the reference tests hold
+the closed forms to.
 """
 
 import math
@@ -27,7 +29,7 @@ class SqueezingSolution:
     r2: float
     residual_ratio: float
     residual_balance: float
-    branch: str = "general"          # which solve path produced the result
+    branch: str = "general"          # always "general": the only solve path
     multiple_brackets: bool = False  # always False: one bracket, one root
 
     @property
@@ -107,16 +109,12 @@ def _solve_r1(params: StandardFormParams) -> float:
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def solve_squeezings(params: StandardFormParams,
-                     use_closed_forms: bool = True) -> SqueezingSolution:
+def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
     """Solve for the squeezing factors (r1, r2) >= 1 of the reduced form.
 
     Args:
         params: canonical standard-form parameters with n, m >= 1 and
             kx >= -kp > 0 (not a product state).
-        use_closed_forms: take the symmetric / squeezed-thermal shortcut
-            branches when applicable; disable to force the general solver
-            (used by cross-check tests).
 
     Returns:
         SqueezingSolution carrying both constraint residuals.
@@ -132,28 +130,17 @@ def solve_squeezings(params: StandardFormParams,
     if kx <= 0.0 or kp >= 0.0 or kx < -kp - 1e-12:
         raise DomainError(
             f"need kx >= -kp > 0 after canonicalization, got kx={kx}, kp={kp}")
-
-    if use_closed_forms:
-        if abs(n - m) <= 1e-12 * max(n, m):
-            if n - kx <= 0.0:
-                raise DomainError("symmetric state with kx >= n is not positive")
-            r = math.sqrt((n + kp) / (n - kx))
-            return _finish(params, r, r, "symmetric")
-        if abs(kx + kp) <= 1e-12 * kx:
-            return _finish(params, 1.0, 1.0, "squeezed_thermal")
-
     r1 = _solve_r1(params)
-    return _finish(params, r1, _r2_of(n, m, r1), "general")
+    return _finish(params, r1, _r2_of(n, m, r1))
 
 
-def _finish(params: StandardFormParams, r1: float, r2: float,
-            branch: str) -> SqueezingSolution:
+def _finish(params: StandardFormParams, r1: float, r2: float) -> SqueezingSolution:
     res_ratio = _ratio_residual(params, r1, r2)
     res_balance = _balance_residual(params, r1, r2)
     if res_balance is None:
         raise NoRoot("solution left the admissible sign region")
     return SqueezingSolution(r1=r1, r2=r2, residual_ratio=res_ratio,
-                             residual_balance=res_balance, branch=branch)
+                             residual_balance=res_balance)
 
 
 def critical_params(params: StandardFormParams,

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import StandardFormParams
+from gaussian_eof import (CriticalParams, Degenerate, StandardFormParams,
+                          critical_params, delta0, f_aux, solve_squeezings)
 from gaussian_eof.cli import load_table1_reference
 
 
@@ -72,6 +73,27 @@ def random_bona_fide_params(rng, n_lo=1.05, n_hi=5.0):
         kp = -rng.uniform(0.02, 1.0) * kx
         if is_bona_fide_params(n, m, kx, kp, margin=1e-9):
             return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
+
+
+def general_route_epr(params):
+    """EPR quantities through the general solve, whatever the closed form.
+
+    eof() sends symmetric and squeezed thermal states to their closed
+    forms; this chains the stages of its general route by hand, so the
+    closed forms can be held to an independent computation.
+    """
+    sol = solve_squeezings(params)
+    try:
+        crit = critical_params(params, sol)
+    except Degenerate:
+        crit = CriticalParams(a0=1.0, b0=0.0)
+    return delta0(params, sol, crit)
+
+
+def general_route_eof(params):
+    """EOF in bits through the general solve (see general_route_epr)."""
+    epr = general_route_epr(params)
+    return 0.0 if epr.separable else f_aux(epr.delta0_prime)
 
 
 @pytest.fixture(scope="session")

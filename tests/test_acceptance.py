@@ -108,7 +108,7 @@ def test_criterion4_symmetric_identity():
     worst = 0.0
     for _ in range(50):
         p = random_symmetric_entangled_params(rng)
-        sol = solve_squeezings(p, use_closed_forms=False)
+        sol = solve_squeezings(p)
         epr = delta0(p, sol, critical_params(p, sol))
         pipeline = 0.0 if epr.separable else f_aux(delta_prime(epr.delta0, epr.b0))
         closed = f_aux(math.sqrt((p.n - p.kx) * (p.n + p.kp)))

@@ -11,7 +11,8 @@ from gaussian_eof import (Infeasible, StandardFormParams, bounds_report, eof,
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
 
-from conftest import random_entangled_params, random_symmetric_entangled_params
+from conftest import (general_route_eof, random_entangled_params,
+                      random_symmetric_entangled_params)
 
 
 def test_gaussian_eof_benchmark_rows():
@@ -141,7 +142,9 @@ def test_bounds_report_runs_the_pipeline_once(monkeypatch, table1_params):
     assert len(calls) == 1
     calls.clear()
     cli._table1_rows()
-    assert len(calls) == len(table1_params)
+    # row 2 is squeezed thermal: its closed form runs no solve
+    assert eof(table1_params[1]).method == "squeezed_thermal"
+    assert len(calls) == len(table1_params) - 1
 
 
 def test_gaussian_eof_dominates_exact_eof():
@@ -175,7 +178,7 @@ def test_rigolin_lower_benchmark_cells():
 
 def test_rigolin_lower_symmetric_input_is_exact():
     p = StandardFormParams(2.0, 2.0, 1.2, -0.8)
-    assert rigolin_lower(p) == pytest.approx(eof(p).eof, abs=1e-10)
+    assert rigolin_lower(p) == pytest.approx(general_route_eof(p), abs=1e-10)
 
 
 def test_oliveira_upper_benchmark_cells():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gaussian_eof
+from gaussian_eof import bounds as bounds_mod
 from gaussian_eof.cli import main
 from gaussian_eof import squeezed_vacuum_cm, standard_form_cm, StandardFormParams
 
@@ -76,6 +77,15 @@ def test_numerical_failure_exits_two(capsys):
     assert json.loads(err)["error"] == "NotPsd"
 
 
+def test_sandwich_violation_exits_three(capsys, monkeypatch):
+    # a lower bound above the EOF breaks the sandwich bounds_report asserts
+    monkeypatch.setattr(bounds_mod, "rigolin_lower", lambda params: 10.0)
+    code, out, err = run_cli(capsys, "bounds", "--params", "2", "1.5", "1.2",
+                             "-1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "SandwichViolation"
+
+
 def test_verify_decomposition_symmetric(capsys):
     code, out, _ = run_cli(capsys, "verify-decomposition", "--params",
                            "2", "2", "1.2", "-0.8", "--samples", "20000",
@@ -126,10 +136,14 @@ def test_table1_default_and_strict(capsys):
                                          "--format", "json")
     all_ok = json.loads(out_strict)["all_within_tolerance"]
     assert code_strict == (0 if all_ok else 3)
-    # the eof and gaussian_eof columns reproduce for every row
+    # the eof and gaussian_eof columns reproduce for every row, and every
+    # computed cell is the row's bounds_report value
     for row in payload["rows"]:
         assert row["cells"]["eof"]["within_tolerance"]
         assert row["cells"]["gaussian_eof"]["within_tolerance"]
+        report = gaussian_eof.bounds_report(StandardFormParams(*row["params"]))
+        for name, cell in row["cells"].items():
+            assert cell["computed"] == getattr(report, name)
 
 
 def test_table1_text_and_csv(capsys):

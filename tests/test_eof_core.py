@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (Degenerate, DomainError, InvalidState,
-                          StandardFormParams, critical_params, delta0,
-                          delta_prime, entropy_of_spectrum, eof, eof_from_cm,
-                          f_aux, g_kappa, giovannetti_family,
-                          schmidt_coeffs_squeezed, solve_squeezings,
-                          squeezed_thermal_eof, squeezed_vacuum_cm,
-                          symmetric_eof)
+                          StandardFormParams, entropy_of_spectrum, eof,
+                          eof_from_cm, f_aux, g_kappa, giovannetti_family,
+                          schmidt_coeffs_squeezed, squeezed_thermal_eof,
+                          squeezed_vacuum_cm, symmetric_eof)
 
-from conftest import random_entangled_params, random_symmetric_entangled_params
+from conftest import (general_route_eof, general_route_epr, is_bona_fide_params,
+                      is_entangled_params)
 
 
 def pure_entropy(r):
@@ -139,15 +138,24 @@ def test_symmetric_eof_domain():
 
 
 def test_symmetric_matches_general_pipeline():
+    # n log-uniform on [1.0001, 50]: eof() takes the closed form, and the
+    # general solve is the reference it is held to
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        p = random_symmetric_entangled_params(rng)
-        closed = symmetric_eof(p.n, p.kx, p.kp).eof
-        sol = solve_squeezings(p, use_closed_forms=False)
-        epr = delta0(p, sol, critical_params(p, sol))
-        general = 0.0 if epr.separable else f_aux(
-            delta_prime(epr.delta0, epr.b0))
-        assert general == pytest.approx(closed, abs=1e-9)
+    log_lo, log_hi = math.log(1.0001), math.log(50.0)
+    checked = 0
+    while checked < 100:
+        n = math.exp(rng.uniform(log_lo, log_hi))
+        kx = rng.uniform(0.05, 1.0) * (n - 1e-9)
+        kp = -rng.uniform(0.02, 1.0) * kx
+        if not (is_bona_fide_params(n, n, kx, kp, margin=1e-9)
+                and is_entangled_params(n, n, kx, kp)):
+            continue
+        p = StandardFormParams(n, n, kx, kp)
+        report = eof(p)
+        assert report.method == "symmetric"
+        assert report.eof == symmetric_eof(n, kx, kp).eof
+        assert abs(report.eof - general_route_eof(p)) <= 1e-12
+        checked += 1
 
 
 def test_squeezed_thermal_closed_form_values():
@@ -160,16 +168,52 @@ def test_squeezed_thermal_closed_form_values():
 
 
 def test_squeezed_thermal_matches_general_pipeline():
-    for (n, m, kx) in [(2.0, 1.5, 1.0), (3.0, 2.0, 1.2), (2.5, 2.5, 1.6)]:
-        closed = squeezed_thermal_eof(n, m, kx).eof
-        general = eof(StandardFormParams(n, m, kx, -kx)).eof
-        assert closed == pytest.approx(general, abs=1e-10)
+    # n, m log-uniform on [1.0001, 50], each state in both mode orders:
+    # eof() takes the closed form, and the general solve is the reference
+    rng = np.random.default_rng(59)
+    log_lo, log_hi = math.log(1.0001), math.log(50.0)
+    checked = 0
+    while checked < 100:
+        n, m = (float(v) for v in np.exp(rng.uniform(log_lo, log_hi, 2)))
+        kx = rng.uniform(0.05, 1.0) * (math.sqrt(n * m) - 1e-9)
+        if not (is_bona_fide_params(n, m, kx, -kx, margin=1e-9)
+                and is_entangled_params(n, m, kx, -kx)):
+            continue
+        closed = squeezed_thermal_eof(max(n, m), min(n, m), kx).eof
+        for p in (StandardFormParams(n, m, kx, -kx),
+                  StandardFormParams(m, n, kx, -kx)):
+            report = eof(p)
+            assert report.method == "squeezed_thermal"
+            assert report.eof == closed
+            assert abs(closed - general_route_eof(p)) <= 1e-12
+            general = general_route_epr(p)
+            for name in ("a0", "delta0", "delta0_prime"):
+                assert abs(getattr(report.epr, name)
+                           - getattr(general, name)) <= 1e-12
+            # the general route's b0 = sqrt(1 - 4/(a0^2 + a0^-2)^2) cancels
+            # as n -> m
+            assert abs(report.epr.b0 - general.b0) <= 1e-11
+        checked += 1
 
 
 def test_squeezed_thermal_symmetric_degeneration():
     n, kx = 2.5, 1.6
     assert squeezed_thermal_eof(n, n, kx).eof == pytest.approx(
         symmetric_eof(n, kx, -kx).eof, abs=1e-12)
+
+
+def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
+    # a mode within 1e-12 of the vacuum is pure, so the state is a product;
+    # in either mode order it reports separable with the indeterminate
+    # critical parameter set to a0 = 1, b0 = 0
+    for n, m in ((2.0, 1.0), (2.0, 1.0 - 1e-13), (2.0, 1.0 + 1e-13)):
+        for p in (StandardFormParams(n, m, 1e-7, -1e-7),
+                  StandardFormParams(m, n, 1e-7, -1e-7)):
+            report = eof(p)
+            assert report.method == "separable" and report.eof == 0.0
+            assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
+        report = squeezed_thermal_eof(n, m, 1e-7)
+        assert report.method == "separable" and report.eof == 0.0
 
 
 def test_squeezed_thermal_domain():
@@ -205,7 +249,7 @@ def test_giovannetti_pure_member_reaches_the_gain_entropy():
 
 def test_giovannetti_mixed_member_two_routes():
     params, report, _ = giovannetti_family(2.0, 1.0)
-    assert report.eof == pytest.approx(eof(params).eof, abs=1e-10)
+    assert report.eof == pytest.approx(general_route_eof(params), abs=1e-10)
     assert report.eof == pytest.approx(1.703, abs=1e-3)
     assert report.eof == pytest.approx(1.702893188821817, abs=1e-12)
 

@@ -71,25 +71,34 @@ def _oracle_solve(p, r1_hi=20.0, grid=4000, iters=200):
 
 
 def test_symmetric_closed_form():
-    sol = solve_squeezings(StandardFormParams(2.0, 2.0, 1.0, -0.5))
+    # separable ((n - kx)(n + kp) = 1.5), but eof() still reports the
+    # squeezings of the symmetric closed form
+    p = StandardFormParams(2.0, 2.0, 1.0, -0.5)
     expect = math.sqrt(1.5 / 1.0)
-    assert sol.branch == "symmetric"
+    report = eof(p)
+    assert report.method == "separable"
+    assert report.params.r1 == report.params.r2 == expect
+    sol = solve_squeezings(p)
     assert sol.r1 == pytest.approx(expect, abs=1e-14)
     assert sol.r2 == pytest.approx(expect, abs=1e-14)
     assert sol.max_residual < 1e-12
 
 
 def test_squeezed_thermal_closed_form():
-    sol = solve_squeezings(StandardFormParams(2.0, 1.5, 1.0, -1.0))
-    assert sol.branch == "squeezed_thermal"
-    assert sol.r1 == 1.0 and sol.r2 == 1.0
-    assert sol.max_residual < 1e-12
+    # the balance residual at r1 = 1 is exactly kx + kp = 0, so the general
+    # solve lands on the closed form's (1, 1) with no residual
+    for p in (StandardFormParams(2.0, 1.5, 1.0, -1.0),
+              StandardFormParams(1.5, 2.0, 1.0, -1.0)):
+        assert eof(p).method == "squeezed_thermal"
+        sol = solve_squeezings(p)
+        assert (sol.r1, sol.r2) == (1.0, 1.0)
+        assert sol.residual_ratio == 0.0 and sol.residual_balance == 0.0
 
 
 def test_general_solve_matches_independent_oracle():
     p = StandardFormParams(2.0, 1.5, 1.2, -1.0)
     sol = solve_squeezings(p)
-    assert sol.branch == "general"
+    assert eof(p).method == "general"
     assert abs(sol.residual_ratio) < 1e-12
     assert abs(sol.residual_balance) < 1e-12
     r1_oracle, r2_oracle = _oracle_solve(p)
@@ -121,8 +130,8 @@ def test_general_solver_agrees_with_closed_forms():
               StandardFormParams(3.0, 3.0, 1.4, -1.1),
               StandardFormParams(2.0, 1.5, 1.0, -1.0),
               StandardFormParams(2.6, 1.7, 1.1, -1.1)):
-        closed = solve_squeezings(p)
-        general = solve_squeezings(p, use_closed_forms=False)
+        closed = eof(p).params  # squeezings of the closed form
+        general = solve_squeezings(p)
         assert general.r1 == pytest.approx(closed.r1, abs=1e-10)
         assert general.r2 == pytest.approx(closed.r2, abs=1e-10)
 
@@ -165,8 +174,8 @@ def test_eof_continuous_across_closed_form_switches():
         exact = eof(StandardFormParams(*base)).eof
         assert exact > 0.1
         outside, inside = perturbed(3e-12), perturbed(5e-13)
-        assert solve_squeezings(outside).branch == "general"
-        assert solve_squeezings(inside).branch == closed_branch
+        assert eof(outside).method == "general"
+        assert eof(inside).method == closed_branch
         assert eof(outside).eof == pytest.approx(exact, abs=1e-9)
         assert eof(inside).eof == pytest.approx(exact, abs=1e-9)
 
