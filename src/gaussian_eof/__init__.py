@@ -30,8 +30,9 @@ from .symplectic_core import (OMEGA, StandardFormParams, ValidityReport,
                               local_rotation, local_squeeze,
                               random_local_symplectic,
                               reduce_to_standard_params, squeezed_vacuum_cm,
-                              standard_form_cm, symplectic_eigenvalues,
-                              validate_cm)
+                              standard_form_cm, standard_form_nu,
+                              symplectic_eigenvalues, validate_cm,
+                              validate_standard_form)
 
 __version__ = "0.1.0"
 
@@ -51,7 +52,7 @@ __all__ = [
     "r_from_delta_prime", "random_local_symplectic", "reconstruct_cm",
     "reduce_to_standard_params", "rigolin_lower", "sample_displacements",
     "schmidt_coeffs_squeezed", "solve_squeezings", "squeezed_thermal_eof",
-    "squeezed_vacuum_cm", "standard_form_cm", "symmetric_eof",
-    "symplectic_eigenvalues", "uncertainty_floor", "validate_cm",
-    "verify_reconstruction",
+    "squeezed_vacuum_cm", "standard_form_cm", "standard_form_nu",
+    "symmetric_eof", "symplectic_eigenvalues", "uncertainty_floor",
+    "validate_cm", "validate_standard_form", "verify_reconstruction",
 ]

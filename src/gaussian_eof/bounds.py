@@ -18,7 +18,7 @@ import numpy as np
 
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
-from .symplectic_core import StandardFormParams, standard_form_cm, validate_cm
+from .symplectic_core import StandardFormParams, validate_standard_form
 
 SCAN_POINTS = 2048
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -286,7 +286,7 @@ def oliveira_upper(params: StandardFormParams) -> float | None:
     """
     lo = min(params.n, params.m)
     surrogate = StandardFormParams(n=lo, m=lo, kx=params.kx, kp=params.kp)
-    if not validate_cm(standard_form_cm(surrogate, 1.0, 1.0)).is_bona_fide:
+    if not validate_standard_form(surrogate).is_bona_fide:
         return None
     return symmetric_eof(lo, params.kx, params.kp).eof
 

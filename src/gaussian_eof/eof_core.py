@@ -12,8 +12,7 @@ from .epr_uncertainty import EprQuantities, delta0, delta_prime
 from .errors import Degenerate, DomainError, InvalidState
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
-from .symplectic_core import (StandardFormParams, standard_form_cm,
-                              symplectic_eigenvalues, validate_cm)
+from .symplectic_core import StandardFormParams, validate_standard_form
 
 _LN2 = math.log(2.0)
 
@@ -76,11 +75,16 @@ def _separable_epr(a0: float = 1.0, b0: float = 0.0) -> EprQuantities:
 def eof(params: StandardFormParams) -> EofReport:
     """Entanglement of formation of the state with the given standard form.
 
+    The state is validated on the closed-form symplectic eigenvalues of
+    its standard form (validate_standard_form), with no eigen-solve.
     Dispatch, decided here and nowhere else: product and separable states
     report 0; pure and symmetric (n = m within 1e-12 relative) states take
-    the symmetric closed form; squeezed thermal states (kx = -kp within
-    1e-12 relative) take the squeezed-thermal closed form; everything else
-    runs the squeezing solve, the critical-parameter evaluation and f.
+    the symmetric closed form; a state with a mode within 1e-12 of the
+    vacuum is a product (a pure mode carries no correlations) and reports
+    separable with a0 = 1, b0 = 0 and r1 = r2 = 1; squeezed thermal states
+    (kx = -kp within 1e-12 relative) take the squeezed-thermal closed form;
+    everything else runs the squeezing solve, the critical-parameter
+    evaluation and f.
 
     Raises:
         DomainError: parameters not canonical.
@@ -90,7 +94,10 @@ def eof(params: StandardFormParams) -> EofReport:
     if params.is_product:
         return EofReport(params=params.with_squeezings(1.0, 1.0),
                          epr=_separable_epr(), eof=0.0, method="separable")
-    report = validate_cm(standard_form_cm(params, 1.0, 1.0))
+    report = validate_standard_form(params)
+    if not report.is_positive:
+        raise InvalidState("parameters describe no positive matrix "
+                           "(need nm > kx^2 and nm > kp^2)")
     if not report.is_bona_fide:
         raise InvalidState(
             f"parameters violate the uncertainty relation: nu = "
@@ -102,6 +109,9 @@ def eof(params: StandardFormParams) -> EofReport:
         if report.is_pure and not closed.epr.separable:
             return replace(closed, method="pure")
         return closed
+    if n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12:
+        return EofReport(params=params.with_squeezings(1.0, 1.0),
+                         epr=_separable_epr(), eof=0.0, method="separable")
     if abs(kx + kp) <= 1e-12 * kx:
         return _squeezed_thermal(params)
     sol = solve_squeezings(params)
@@ -141,35 +151,30 @@ def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
 
 
 def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
-    """Closed-form EOF of a squeezed thermal state (kx = -kp, n >= m >= 1)."""
+    """EOF of a squeezed thermal state (kx = -kp, n >= m >= 1), via eof().
+
+    After these domain checks eof() validates the state and picks its
+    route: the squeezed-thermal closed form, or the symmetric one at n = m
+    and separable when a mode is at the vacuum.
+    """
     if not (n >= m >= 1.0 - 1e-12):
         raise DomainError(f"need n >= m >= 1, got ({n}, {m})")
     if kx <= 0.0:
         raise DomainError(f"need kx > 0, got {kx}")
     if n - 1.0 <= 1e-12 and m - 1.0 <= 1e-12:
         raise Degenerate("n = m = 1 is the pure vacuum limit")
-    params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
-    report = validate_cm(standard_form_cm(params, 1.0, 1.0))
-    if not report.is_bona_fide:
-        raise InvalidState(
-            f"squeezed thermal parameters not bona fide: nu = "
-            f"{report.symplectic_eigenvalues}")
-    return _squeezed_thermal(params)
+    return eof(StandardFormParams(n=n, m=m, kx=kx, kp=-kx))
 
 
 def _squeezed_thermal(params: StandardFormParams) -> EofReport:
     """The squeezed-thermal closed form (kx = -kp), in either mode order.
 
-    The solved squeezings are r1 = r2 = 1.  A mode within 1e-12 of the
-    vacuum is pure, which leaves the critical parameter indeterminate and
-    the state a product: it reports separable with a0 = 1, b0 = 0.
+    Needs both modes above the vacuum (eof() routes a vacuum mode to
+    separable first).  The solved squeezings are r1 = r2 = 1.
     """
     n, m, kx = params.n, params.m, params.kx
     solved = params.with_squeezings(1.0, 1.0)
     nt, mt = n - 1.0, m - 1.0
-    if nt <= 1e-12 or mt <= 1e-12:
-        return EofReport(params=solved, epr=_separable_epr(), eof=0.0,
-                         method="separable")
     b0 = abs(n - m) / (n + m - 2.0)
     cross = kx * math.sqrt(nt * mt)
     d0 = (n * mt + m * nt - 2.0 * cross) / (nt + mt)

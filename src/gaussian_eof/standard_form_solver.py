@@ -10,10 +10,11 @@ The reduced form of a two-mode CM carries one-mode squeezing factors
 Both constraints need n/r1 - 1 >= 0 and m/r2 - 1 >= 0, so r1 lies in
 [1, n].  On that window the ratio constraint, a quadratic in r2 at fixed
 r1, has exactly one positive root, and the balance residual is driven to
-zero in r1 by bisection on [1, n].  The solver takes no shortcut for
-symmetric (n = m) or squeezed-thermal (kx = -kp) inputs: ``eof()`` sends
-those to their closed forms, and this solve is the reference tests hold
-the closed forms to.
+zero in r1 on [1, n] by Illinois regula falsi (a secant step that keeps
+the root bracketed), down to adjacent floats.  The solver takes no
+shortcut for symmetric (n = m) or squeezed-thermal (kx = -kp) inputs:
+``eof()`` sends those to their closed forms, and this solve is the
+reference tests hold the closed forms to.
 """
 
 import math
@@ -76,11 +77,15 @@ def _ratio_residual(params: StandardFormParams, r1: float, r2: float) -> float:
 
 
 def _solve_r1(params: StandardFormParams) -> float:
-    """Root of the balance residual in r1 on [1, n], by bisection.
+    """Root of the balance residual in r1 on [1, n], by Illinois regula falsi.
 
-    The residual is kx + kp >= 0 at r1 = 1.  The bracket is halved until its
-    ends are adjacent floats, and the end with the smaller |residual| is
-    returned.
+    The residual is kx + kp >= 0 at r1 = 1.  Each step evaluates the secant
+    point of the bracket, or its midpoint when the secant point is not
+    strictly inside; when the same end is kept twice in a row, the other
+    end's residual is halved for the secant (the Illinois rule of Dowell &
+    Jarratt, BIT 11, 168 (1971)), so both ends close in.  The bracket is
+    narrowed until its ends are adjacent floats, and the end with the
+    smaller |residual| is returned.
     """
     n, m = params.n, params.m
 
@@ -97,15 +102,25 @@ def _solve_r1(params: StandardFormParams) -> float:
     if f_lo * f_hi > 0.0:
         raise NoRoot("balance residual has no sign change on the r1 bracket; "
                      "input parameters do not describe a reducible state")
+    w_lo, w_hi = f_lo, f_hi  # residuals as weighted by the Illinois rule
+    last = 0                 # end replaced by the last step: -1 lo, +1 hi
     while f_lo != 0.0 and f_hi != 0.0:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        f_mid = residual(mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):
+                break
+        f_x = residual(x)
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo, w_lo = x, f_x, f_x
+            if last < 0:
+                w_hi *= 0.5
+            last = -1
         else:
-            hi, f_hi = mid, f_mid
+            hi, f_hi, w_hi = x, f_x, f_x
+            if last > 0:
+                w_lo *= 0.5
+            last = 1
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 

@@ -13,6 +13,7 @@ one-mode squeezing factors (r1, r2), when present, place the CM in the
 fully reduced form used by the EPR-uncertainty pipeline.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,12 +90,57 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> tuple[float, float]:
     return nu_minus, nu_plus
 
 
+def standard_form_nu(n: float, m: float, kx: float,
+                     kp: float) -> tuple[float, float]:
+    """Symplectic eigenvalues (nu_-, nu_+) of the standard form (n, m, kx, kp).
+
+    Closed form in the invariants Delta = n^2 + m^2 + 2 kx kp and
+    det = (nm - kx^2)(nm - kp^2): nu_+^2 = (Delta + sqrt(Delta^2 - 4 det))/2
+    and nu_-^2 = det / nu_+^2, which does not cancel when nu_+ >> nu_-.  The
+    discriminant is evaluated as (n^2 - m^2)^2 + 4 (n kx + m kp)(m kx + n kp),
+    which is exactly 0 on symmetric squeezed thermal states (pure ones
+    included), where Delta^2 - 4 det cancels to rounding noise of size
+    sqrt(eps) Delta.  Defined for a positive matrix: n > 0, nm > kx^2 and
+    nm > kp^2.
+    """
+    delta = n * n + m * m + 2.0 * kx * kp
+    det = (n * m - kx * kx) * (n * m - kp * kp)
+    disc = (n * n - m * m) ** 2 + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
+    nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
+    return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
+
+
+def validate_standard_form(params: StandardFormParams) -> ValidityReport:
+    """validate_cm of the plain standard form (n, m, kx, kp), in closed form.
+
+    The same tests and tolerances as validate_cm(standard_form_cm(params,
+    1, 1)), without the eigen-solve: positive iff n > 0, nm > kx^2 and
+    nm > kp^2; bona fide iff also nu_- >= 1 - TOL_PSD; pure iff both
+    symplectic eigenvalues lie within TOL_PSD of 1.  A matrix that is not
+    positive has no symplectic eigenvalues and reports (nan, nan).
+
+    Raises:
+        NonFiniteEntry: if any parameter is NaN or infinite.
+    """
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
+        raise NonFiniteEntry("standard-form parameters must be finite")
+    nm = n * m
+    if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
+        return ValidityReport(True, False, (math.nan, math.nan), False, False)
+    nu = standard_form_nu(n, m, kx, kp)
+    bona_fide = nu[0] >= 1.0 - TOL_PSD
+    pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
+    return ValidityReport(True, True, nu, bona_fide, pure)
+
+
 def validate_cm(gamma: np.ndarray) -> ValidityReport:
     """Check symmetry, positivity and the uncertainty relation for a CM.
 
     Bona fide means gamma + i*Omega >= 0, equivalently both symplectic
     eigenvalues >= 1 - TOL_PSD.  States on the boundary within tolerance are
-    accepted and flagged pure.
+    accepted and flagged pure.  A matrix known to be a plain standard form
+    is checked by validate_standard_form, without the eigen-solve.
 
     Raises:
         NonFiniteEntry: if any entry is NaN or infinite.

@@ -1,8 +1,10 @@
-"""Shared fixtures: benchmark data, random state generators, independent oracles.
+"""Shared fixtures: benchmark data, random state generators, reference routes.
 
 The entanglement oracle used for generating test states is the partial
-transpose criterion evaluated through the analytic two-mode formulas, which
-is an independent code path from the library's matrix-based spectra.
+transpose criterion evaluated on the closed-form two-mode symplectic
+eigenvalues (``standard_form_nu``).  eof() validates states with the same
+closed form, so test_symplectic_core.py holds it to a 50-digit evaluation
+of the invariants and to the matrix eigen-solve of ``validate_cm``.
 """
 
 import math
@@ -11,16 +13,14 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (CriticalParams, Degenerate, StandardFormParams,
-                          critical_params, delta0, f_aux, solve_squeezings)
+                          critical_params, delta0, f_aux, solve_squeezings,
+                          standard_form_nu)
 from gaussian_eof.cli import load_table1_reference
 
 
 def analytic_nu_minus(n, m, kx, kp):
     """Smaller symplectic eigenvalue from the closed two-mode formula."""
-    seralian = n * n + m * m + 2.0 * kx * kp
-    det = (n * m - kx * kx) * (n * m - kp * kp)
-    disc = max(seralian * seralian - 4.0 * det, 0.0)
-    return math.sqrt(max(0.5 * (seralian - math.sqrt(disc)), 0.0))
+    return standard_form_nu(n, m, kx, kp)[0]
 
 
 def ppt_nu_minus(n, m, kx, kp):

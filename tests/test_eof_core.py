@@ -216,6 +216,19 @@ def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
         assert report.method == "separable" and report.eof == 0.0
 
 
+def test_vacuum_mode_is_separable_on_the_general_route():
+    # kx != -kp: these states used to reach the squeezing solve, which has
+    # no root (the r1 window [1, n] is empty at n = 1); a mode within 1e-12
+    # of the vacuum makes the state a product in either mode order
+    for n, m in ((2.0, 1.0), (2.0, 1.0 - 1e-13), (2.0, 1.0 + 1e-13)):
+        for p in (StandardFormParams(n, m, 1e-7, -5e-8),
+                  StandardFormParams(m, n, 1e-7, -5e-8)):
+            report = eof(p)
+            assert report.method == "separable" and report.eof == 0.0
+            assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
+            assert (report.params.r1, report.params.r2) == (1.0, 1.0)
+
+
 def test_squeezed_thermal_domain():
     with pytest.raises(DomainError):
         squeezed_thermal_eof(1.5, 2.0, 0.5)  # n < m

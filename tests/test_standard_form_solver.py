@@ -5,7 +5,8 @@ import pytest
 
 from gaussian_eof import (CriticalParams, Degenerate, DomainError, NoRoot,
                           SqueezingSolution, StandardFormParams,
-                          critical_params, eof, solve_squeezings)
+                          critical_params, eof, solve_squeezings,
+                          standard_form_solver, validate_standard_form)
 
 from conftest import (is_bona_fide_params, is_entangled_params,
                       random_entangled_params)
@@ -108,7 +109,7 @@ def test_general_solve_matches_independent_oracle():
 
 def test_narrow_admissible_window():
     # with n close to 1 the admissible r1 window [1, n] is narrow; the
-    # bisection on that window must still find the root
+    # root finder on that window must still find the root
     p = StandardFormParams(n=1.025506543232509, m=5.439158800175253,
                            kx=0.5114776783972613, kp=-0.09324799913869698)
     sol = solve_squeezings(p)
@@ -156,6 +157,86 @@ def test_random_states_residuals_and_bounds():
             assert abs(_ratio_residual(p, sol.r1, sol.r2)) < 1e-10
             assert abs(_balance_residual(p, sol.r1, sol.r2)) < 1e-10
             checked += 1
+
+
+_BALANCE = standard_form_solver._balance_residual
+
+
+def _library_residual(p, r1):
+    """The solver's balance residual along its r2(r1), as _solve_r1 sees it."""
+    return _BALANCE(p, r1, standard_form_solver._r2_of(p.n, p.m, r1))
+
+
+def _bisection_r1(p):
+    """Reference: bisection of the same residual on [1, n] to adjacent floats,
+    returning the end with the smaller |residual|."""
+    lo, hi = 1.0, p.n
+    f_lo, f_hi = _library_residual(p, lo), _library_residual(p, hi)
+    assert f_lo * f_hi <= 0.0
+    while f_lo != 0.0 and f_hi != 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        f_mid = _library_residual(p, mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def _harsh_invariant(rng):
+    """n or m: within 1e-6..1e-4 of the vacuum, 1e-3..1 above it, or
+    log-uniform on [1, 1e5]."""
+    u = rng.uniform()
+    if u < 0.25:
+        return 1.0 + 10.0 ** rng.uniform(-6.0, -4.0)
+    if u < 0.5:
+        return 1.0 + 10.0 ** rng.uniform(-3.0, 0.0)
+    return 10.0 ** rng.uniform(0.0, 5.0)
+
+
+def test_root_finder_calls_and_agreement(monkeypatch):
+    # bona fide general-route states (n != m, kx != -kp), n and m from
+    # _harsh_invariant; the correlation kx spans five decades below
+    # sqrt(nm) so that states near the vacuum stay bona fide
+    rng = np.random.default_rng(79)
+    states = []
+    while len(states) < 1500:
+        n, m = _harsh_invariant(rng), _harsh_invariant(rng)
+        kx = math.sqrt(n * m) * 10.0 ** rng.uniform(-5.0, 0.0)
+        p = StandardFormParams(n, m, kx, -kx * rng.uniform(0.02, 0.98))
+        if validate_standard_form(p).is_bona_fide:
+            states.append(p)
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return _BALANCE(*args)
+
+    monkeypatch.setattr(standard_form_solver, "_balance_residual", counted)
+    compared = 0
+    for p in states:
+        calls.append(0)
+        r1 = standard_form_solver._solve_r1(p)
+        assert 1.0 <= r1 <= p.n
+        # r1 is a floating-point root: zero residual, or a sign change
+        # between r1 and an adjacent float
+        f = _library_residual(p, r1)
+        neighbours = (_library_residual(p, math.nextafter(r1, side))
+                      for side in (0.0, math.inf))
+        assert f == 0.0 or any(g is not None and f * g <= 0.0
+                               for g in neighbours), p
+        # with a mode within 1e-4 of the vacuum the residual sits at
+        # rounding level over up to ~2e-10 of r1 (both roots have
+        # |residual| ~ 1e-12), so the roots are compared elsewhere
+        if min(p.n, p.m) - 1.0 >= 1e-3:
+            ref = _bisection_r1(p)
+            assert abs(r1 - ref) <= 1e-12 * ref, p
+            compared += 1
+    assert compared >= 500
+    assert np.median(calls) <= 20
+    assert max(calls) <= 60
 
 
 def test_eof_continuous_across_closed_form_switches():

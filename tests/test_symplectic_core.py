@@ -1,13 +1,17 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
                           StandardFormParams, local_rotation, local_squeeze,
                           random_local_symplectic, reduce_to_standard_params,
                           squeezed_vacuum_cm, standard_form_cm,
-                          symplectic_eigenvalues, validate_cm)
+                          standard_form_nu, symplectic_eigenvalues,
+                          validate_cm, validate_standard_form)
 from gaussian_eof.symplectic_core import OMEGA, params_from_json_dict
 
 from conftest import random_bona_fide_params
@@ -180,3 +184,126 @@ def test_standard_form_cm_uses_solved_factors():
     assert gamma[0, 2] == pytest.approx(1.2 * 1.0)
     with pytest.raises(DomainError):
         standard_form_cm(params, r1=-1.0, r2=1.0)
+
+
+def _nu_50_digits(n, m, kx, kp):
+    """(nu_-, nu_+) of the same invariants, evaluated with 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, m, kx, kp = (Decimal(v) for v in (n, m, kx, kp))
+        delta = n * n + m * m + 2 * kx * kp
+        det = (n * m - kx * kx) * (n * m - kp * kp)
+        nu_plus_sq = (delta + (delta * delta - 4 * det).sqrt()) / 2
+        return (det / nu_plus_sq).sqrt(), nu_plus_sq.sqrt()
+
+
+def _kp_at_nu_minus(n, m, kx, nu_minus):
+    """A kp in [-kx, 0) that puts nu_- at the given value, or None.
+
+    A symplectic eigenvalue nu^2 = x is a root of x^2 - Delta x + det = 0,
+    a quadratic in kp at fixed n, m, kx, solved with 50 digits; a root kp
+    qualifies when x is the smaller eigenvalue.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, m, kx = Decimal(n), Decimal(m), Decimal(kx)
+        x = Decimal(nu_minus) ** 2
+        a = kx * kx - n * m
+        b = -2 * x * kx
+        c = (n * m - kx * kx) * n * m + x * x - x * (n * n + m * m)
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        roots = ((-b + disc.sqrt()) / (2 * a), (-b - disc.sqrt()) / (2 * a))
+    for kp in (float(r) for r in roots if -kx <= r < 0):
+        if (n * m > kp * kp and abs(_nu_50_digits(n, m, kx, kp)[0] - 1)
+                <= Decimal("2e-8")):
+            return kp
+    return None
+
+
+def test_standard_form_nu_matches_50_digit_invariants():
+    # n, m log-uniform on [1, 1e5].  kx^2 <= 0.998 nm: the float products
+    # nm - kx^2 lose log10(nm / (nm - kx^2)) digits, which no formula in
+    # the float parameters avoids
+    rng = np.random.default_rng(71)
+    log_hi = math.log(1e5)
+    general = boundary = 0
+    while general + boundary < 2000:
+        n, m = (float(v) for v in np.exp(rng.uniform(0.0, log_hi, 2)))
+        kx = float(rng.uniform(0.0, 0.999)) * math.sqrt(n * m)
+        if general < 1000:
+            kp = -float(rng.uniform(0.0, 1.0)) * kx
+            general += 1
+        else:
+            # near the bona fide boundary: nu_- within 1e-8 of 1, and
+            # within 2e-8 once kp is rounded to a float
+            kp = _kp_at_nu_minus(n, m, kx, 1.0 + float(rng.uniform(-1e-8, 1e-8)))
+            if kp is None:
+                continue
+            boundary += 1
+        got = standard_form_nu(n, m, kx, kp)
+        for value, ref in zip(got, _nu_50_digits(n, m, kx, kp)):
+            assert abs(Decimal(value) - ref) <= Decimal("1e-12") * ref, (n, m, kx, kp)
+
+
+def test_validate_standard_form_matches_eigen_solve():
+    def flags(report):
+        return report.is_positive, report.is_bona_fide, report.is_pure
+
+    states = []
+    rng = np.random.default_rng(73)
+    # random states, some not positive and many not bona fide; kp of either
+    # sign (kp > 0 is a classically correlated standard form)
+    for _ in range(3000):
+        n, m = (float(v) for v in np.exp(rng.uniform(0.0, math.log(50.0), 2)))
+        kx = float(rng.uniform(0.0, 1.05)) * math.sqrt(n * m)
+        kp = float(rng.uniform(-1.05, 0.5)) * kx
+        states.append((n, m, kx, kp))
+    # squeezed vacua, as parameters and as reduced from a locally
+    # transformed squeezed vacuum CM (there n != m and kx != -kp in the
+    # last digits)
+    for r in np.linspace(0.0, 3.0, 61):
+        c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        states.append((c, c, s, -s))
+        sym = random_local_symplectic(rng)
+        red = reduce_to_standard_params(sym @ squeezed_vacuum_cm(float(r)) @ sym.T)
+        states.append((red.n, red.m, red.kx, red.kp))
+    # nu_- = 1 +- 2e-9, i.e. 2e-9 on either side of the bona fide tolerance:
+    # two-mode squeezed thermal states diag(a, a, b, b) at squeezing r have
+    # symplectic eigenvalues a and b
+    for a in (1.0 - 2e-9, 1.0 + 2e-9):
+        for b in (1.0 - 2e-9, 1.0 + 2e-9, 1.7, 12.0):
+            for r in (0.1, 0.6, 1.3):
+                c2, s2 = math.cosh(r) ** 2, math.sinh(r) ** 2
+                k = (a + b) * math.cosh(r) * math.sinh(r)
+                states.append((a * c2 + b * s2, a * s2 + b * c2, k, -k))
+    seen = set()
+    for n, m, kx, kp in states:
+        p = StandardFormParams(n, m, kx, kp)
+        closed = validate_standard_form(p)
+        assert flags(closed) == flags(validate_cm(standard_form_cm(p, 1.0, 1.0))), p
+        seen.add(flags(closed))
+    # every outcome occurs: not positive, not bona fide, mixed, pure
+    assert seen == {(False, False, False), (True, False, False),
+                    (True, True, False), (True, True, True)}
+
+
+def test_validate_standard_form_rejects_non_finite():
+    with pytest.raises(NonFiniteEntry):
+        validate_standard_form(StandardFormParams(2.0, math.inf, 1.0, -1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_n=st.floats(0.0, math.log(50.0)), log_m=st.floats(0.0, math.log(50.0)),
+       u=st.floats(0.0, 0.99), v=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_standard_form_nu_is_local_symplectic_invariant(log_n, log_m, u, v, seed):
+    n, m = math.exp(log_n), math.exp(log_m)
+    kx = u * math.sqrt(n * m)
+    kp = v * kx
+    assume(validate_standard_form(StandardFormParams(n, m, kx, kp)).is_bona_fide)
+    sym = random_local_symplectic(np.random.default_rng(seed))
+    gamma = sym @ standard_form_cm(StandardFormParams(n, m, kx, kp), 1.0, 1.0) @ sym.T
+    assert standard_form_nu(n, m, kx, kp) == pytest.approx(
+        symplectic_eigenvalues(gamma), rel=1e-9)
