@@ -17,10 +17,9 @@ from .eof_core import (EofReport, eof, eof_from_cm, f_aux, g_kappa,
 from .epr_uncertainty import (EprQuantities, delta0, delta_general,
                               delta_prime, delta_pure_squeezed,
                               r_from_delta_prime, uncertainty_floor)
-from .errors import (AmbiguousSigns, Degenerate, DomainError,
-                     GaussianEofError, Infeasible, InvalidState,
-                     NonFiniteEntry, NoRoot, NotPsd, SandwichViolation,
-                     TruncationTooCoarse)
+from .errors import (Degenerate, DomainError, GaussianEofError, Infeasible,
+                     InvalidState, NonFiniteEntry, NoRoot, NotPsd,
+                     SandwichViolation, TruncationTooCoarse)
 from .fock_oracle import (SchmidtSpectrum, delta_of_spectrum,
                           entropy_of_spectrum, minimal_entropy_spectrum,
                           schmidt_coeffs_squeezed)
@@ -37,7 +36,7 @@ from .symplectic_core import (OMEGA, StandardFormParams, ValidityReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "OMEGA", "AmbiguousSigns", "BoundsReport", "CriticalParams",
+    "OMEGA", "BoundsReport", "CriticalParams",
     "Degenerate", "DecompositionSpec", "DomainError",
     "EofReport", "EprQuantities", "GammaCandidate", "GaussianEofError",
     "Infeasible", "InvalidState", "NonFiniteEntry", "NoRoot", "NotPsd",

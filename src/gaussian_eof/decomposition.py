@@ -10,8 +10,6 @@ reconstruction gamma_hat = gamma_psi + 2 * (second moment of xi).
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,26 +66,14 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
                              norm_constant=norm, target_cm=gamma_sigma)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GAUSS_EOF_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"GAUSS_EOF_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise DomainError("GAUSS_EOF_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def sample_displacements(spec: DecompositionSpec, n_samples: int,
                          seed: int) -> np.ndarray:
     """Draw displacement vectors from the Gaussian weight, covariance M/2.
 
     Sampling goes through the symmetric square root of M/2; eigenvalues
     within tolerance of zero are clamped, so rank-deficient weights sample
-    inside their column space.  Chunks carry independent child seeds spawned
-    from the given seed, which makes the result reproducible and independent
-    of the worker count.
+    inside their column space.  The result is reproducible for a given
+    seed.
     """
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
@@ -96,23 +82,12 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     # eigenvalues at numerical-noise level are null directions: exact zeros
     lam[lam < 1e-12 * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
+    # _CHUNK-sized draws from children spawned off the seed fix the random stream
     n_chunks = max((n_samples + _CHUNK - 1) // _CHUNK, 1)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, n_samples - i * _CHUNK) for i in range(n_chunks)]
-
-    def draw(args):
-        child, size = args
-        if size <= 0:
-            return np.zeros((0, 4))
-        z = np.random.default_rng(child).standard_normal((size, 4))
-        return z @ factor.T
-
-    workers = _worker_count()
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(draw, zip(seeds, sizes)))
-    else:
-        chunks = [draw(pair) for pair in zip(seeds, sizes)]
+    chunks = [np.random.default_rng(child).standard_normal(
+        (min(_CHUNK, n_samples - i * _CHUNK), 4)) @ factor.T
+        for i, child in enumerate(seeds)]
     return np.concatenate(chunks, axis=0)
 
 

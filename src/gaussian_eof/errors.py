@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Input-validation errors signal bad arguments or unphysical matrices;
-numerical errors signal a failed solve on otherwise valid input;
-verification errors signal that a cross-check caught an inconsistency.
+Input-validation errors signal bad arguments or unphysical matrices; the
+reduction of a raw CM raises only InvalidState, for a matrix that
+validate_cm does not accept as bona fide.  Numerical errors signal a failed
+solve on otherwise valid input; verification errors signal that a
+cross-check caught an inconsistency.
 The CLI maps these groups to exit codes 1, 2 and 3.
 """
 
@@ -23,10 +25,6 @@ class DomainError(GaussianEofError):
 
 class InvalidState(GaussianEofError):
     """Inputs describe no bona fide state, or internal consistency failed."""
-
-
-class AmbiguousSigns(GaussianEofError):
-    """Local invariants admit no real correlation pair (kx, kp)."""
 
 
 # --- numerical failures ---
@@ -57,6 +55,6 @@ class SandwichViolation(GaussianEofError):
     """EOF fell outside the lower/upper bound sandwich; implementation bug."""
 
 
-INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState, AmbiguousSigns)
+INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState)
 NUMERICAL_ERRORS = (NoRoot, Degenerate, Infeasible, NotPsd, TruncationTooCoarse)
 VERIFICATION_ERRORS = (SandwichViolation,)

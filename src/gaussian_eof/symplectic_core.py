@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousSigns, DomainError, InvalidState, NonFiniteEntry
+from .errors import DomainError, InvalidState, NonFiniteEntry
 
 TOL_SYM = 1e-12       # max allowed |gamma_ij - gamma_ji|
 TOL_PSD = 1e-9        # bona fide / purity tolerance on symplectic eigenvalues
@@ -200,45 +200,40 @@ def standard_form_cm(params: StandardFormParams,
 def reduce_to_standard_params(gamma: np.ndarray) -> StandardFormParams:
     """Reduce a bona fide CM to its standard-form parameters (n, m, kx, kp).
 
-    Uses the local symplectic invariants: n = sqrt(det A), m = sqrt(det B),
-    det C = kx*kp and det gamma = (nm - kx^2)(nm - kp^2).  The result is
-    canonicalized to kx >= |kp| and kp <= 0; for classically-correlated
-    inputs (det C > 0) the sign flip on kp amounts to a partial transposition,
-    which leaves every entanglement quantity unchanged because such states
-    are separable whenever they are bona fide.
+    Performs the local normalisation of Duan et al. (PRL 84, 2722 (2000)) in
+    closed form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2}
+    turn the diagonal blocks into n I and m I, with n = sqrt(det A) and
+    m = sqrt(det B), and the correlation block into
+    C' = sqrt(nm) A^{-1/2} C B^{-1/2}.  A local rotation on each side then
+    diagonalises C', whose singular values are kx >= |kp|.  The result is
+    canonicalized to kp <= 0; for classically-correlated inputs (det C > 0)
+    the sign flip on kp amounts to a partial transposition, which leaves
+    every entanglement quantity unchanged because such states are separable
+    whenever they are bona fide.
 
     Raises:
         InvalidState: if gamma is not a bona fide CM.
-        AmbiguousSigns: if the invariants admit no real (kx, kp).
     """
     gamma = np.asarray(gamma, dtype=float)
     report = validate_cm(gamma)
     if not report.is_bona_fide:
         raise InvalidState(
             f"not a bona fide CM (symplectic eigenvalues {report.symplectic_eigenvalues})")
-    a_blk = gamma[:2, :2]
-    b_blk = gamma[2:, 2:]
-    c_blk = gamma[:2, 2:]
-    n = float(np.sqrt(np.linalg.det(a_blk)))
-    m = float(np.sqrt(np.linalg.det(b_blk)))
-    det_c = float(np.linalg.det(c_blk))
-    det_g = float(np.linalg.det(gamma))
-    nm = n * m
-    # kx^2 + kp^2 from det gamma, kx^2 * kp^2 from det C
-    ssum = (nm * nm + det_c * det_c - det_g) / nm
-    prod2 = det_c * det_c
-    if ssum < -1e-10:
-        raise AmbiguousSigns(f"invariants give kx^2 + kp^2 = {ssum} < 0")
-    ssum = max(ssum, 0.0)
-    disc = ssum * ssum - 4.0 * prod2
-    if disc < -1e-10 * max(ssum * ssum, 1.0):
-        raise AmbiguousSigns("invariants admit no real correlation pair")
-    disc = max(disc, 0.0)
-    root = np.sqrt(disc)
-    z_hi = 0.5 * (ssum + root)
-    z_lo = max(0.5 * (ssum - root), 0.0)
-    kx = float(np.sqrt(z_hi))
-    kp = -float(np.sqrt(z_lo))
+    (a0, a1, c00, c01), (_, a2, c10, c11), (_, _, b0, b1), (_, _, _, b2) = (
+        0.5 * (gamma + gamma.T)).tolist()
+    n = math.sqrt(a0 * a2 - a1 * a1)
+    m = math.sqrt(b0 * b2 - b1 * b1)
+    # A^{-1/2} = adj(A + nI) / (n sqrt(tr A + 2n)), likewise B^{-1/2}; the
+    # entries of adj(A + nI) C adj(B + mI):
+    x00, x01 = (a2 + n) * c00 - a1 * c10, (a2 + n) * c01 - a1 * c11
+    x10, x11 = (a0 + n) * c10 - a1 * c00, (a0 + n) * c11 - a1 * c01
+    y00, y01 = x00 * (b2 + m) - x01 * b1, x01 * (b0 + m) - x00 * b1
+    y10, y11 = x10 * (b2 + m) - x11 * b1, x11 * (b0 + m) - x10 * b1
+    scale = 0.5 / math.sqrt(n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m))
+    # C' = 2 scale y, whose singular values are q + r and |q - r|
+    q = scale * math.hypot(y00 + y11, y10 - y01)
+    r = scale * math.hypot(y00 - y11, y01 + y10)
+    kx, kp = q + r, -abs(q - r)
     if kx < TOL_PRODUCT and abs(kp) < TOL_PRODUCT:
         return StandardFormParams(n=n, m=m, kx=0.0, kp=0.0)
     return StandardFormParams(n=n, m=m, kx=kx, kp=kp)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (CriticalParams, Degenerate, StandardFormParams,
-                          critical_params, delta0, f_aux, solve_squeezings,
+                          critical_params, delta0, f_aux,
+                          random_local_symplectic, solve_squeezings,
                           standard_form_nu)
 from gaussian_eof.cli import load_table1_reference
 
@@ -73,6 +74,33 @@ def random_bona_fide_params(rng, n_lo=1.05, n_hi=5.0):
         kp = -rng.uniform(0.02, 1.0) * kx
         if is_bona_fide_params(n, m, kx, kp, margin=1e-9):
             return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
+
+
+def two_mode_squeezer(r):
+    """Symplectic TMS(r); TMS(r) TMS(r)^T is squeezed_vacuum_cm(r)."""
+    c, s = math.cosh(r) * np.eye(2), math.sinh(r) * np.diag([1.0, -1.0])
+    return np.block([[c, s], [s, c]])
+
+
+def beam_splitter(t):
+    """Symplectic beam splitter BS(t) = [[cos t I, sin t I], [-sin t I, cos t I]]."""
+    c, s = math.cos(t) * np.eye(2), math.sin(t) * np.eye(2)
+    return np.block([[c, s], [-s, c]])
+
+
+def near_pure_cm(rng):
+    """Raw CM S (nu1 I (+) nu2 I) S^T with nu1 - 1 log-uniform on [1e-13, 1e-6].
+
+    S = L1 TMS(r) BS(t) L2, with random local symplectics L1, L2 (squeeze
+    <= 0.8), r <= 2.5 and t uniform; nu2 - 1 is log-uniform on [1e-13, 10].
+    Returns the matrix and (nu1, nu2) sorted, the symplectic eigenvalues.
+    """
+    nu1 = 1.0 + 10.0 ** rng.uniform(-13.0, -6.0)
+    nu2 = 1.0 + 10.0 ** rng.uniform(-13.0, 1.0)
+    sym = (random_local_symplectic(rng) @ two_mode_squeezer(rng.uniform(0.0, 2.5))
+           @ beam_splitter(rng.uniform(0.0, math.pi)) @ random_local_symplectic(rng))
+    gamma = sym @ np.diag([nu1, nu1, nu2, nu2]) @ sym.T
+    return 0.5 * (gamma + gamma.T), (min(nu1, nu2), max(nu1, nu2))
 
 
 def general_route_epr(params):

@@ -206,13 +206,15 @@ def test_unknown_command_exits_one(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package must not pull it in
+    # scipy is a test-only dependency and sampling runs on one thread; the
+    # package pulls in neither scipy nor concurrent.futures
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_eof.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, gaussian_eof\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))")
+            "             if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -61,25 +61,6 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_sampling_worker_count_invariance(monkeypatch):
-    spec = decomposition_spec(SYMMETRIC)
-    monkeypatch.setenv("GAUSS_EOF_THREADS", "1")
-    a = sample_displacements(spec, 50000, seed=7)
-    monkeypatch.setenv("GAUSS_EOF_THREADS", "4")
-    b = sample_displacements(spec, 50000, seed=7)
-    assert np.array_equal(a, b)
-
-
-def test_sampling_env_validation(monkeypatch):
-    spec = decomposition_spec(SYMMETRIC)
-    monkeypatch.setenv("GAUSS_EOF_THREADS", "soon")
-    with pytest.raises(DomainError):
-        sample_displacements(spec, 10, seed=1)
-    monkeypatch.setenv("GAUSS_EOF_THREADS", "-2")
-    with pytest.raises(DomainError):
-        sample_displacements(spec, 10, seed=1)
-
-
 def test_sample_moments():
     spec = decomposition_spec(SYMMETRIC)
     n = 100_000

@@ -6,11 +6,14 @@ import pytest
 from gaussian_eof import (Degenerate, DomainError, InvalidState,
                           StandardFormParams, entropy_of_spectrum, eof,
                           eof_from_cm, f_aux, g_kappa, giovannetti_family,
-                          schmidt_coeffs_squeezed, squeezed_thermal_eof,
-                          squeezed_vacuum_cm, symmetric_eof)
+                          local_rotation, local_squeeze,
+                          random_local_symplectic, schmidt_coeffs_squeezed,
+                          squeezed_thermal_eof, squeezed_vacuum_cm,
+                          symmetric_eof, validate_cm)
 
-from conftest import (general_route_eof, general_route_epr, is_bona_fide_params,
-                      is_entangled_params)
+from conftest import (beam_splitter, general_route_eof, general_route_epr,
+                      is_bona_fide_params, is_entangled_params, near_pure_cm,
+                      two_mode_squeezer)
 
 
 def pure_entropy(r):
@@ -116,6 +119,38 @@ def test_eof_from_cm_matches_params_route():
     from gaussian_eof import standard_form_cm
     assert eof_from_cm(standard_form_cm(p, 1.0, 1.0)).eof == pytest.approx(
         eof(p).eof, abs=1e-12)
+
+
+def test_eof_from_cm_pure_state_after_beam_splitter():
+    # a pure state behind local squeezers, a two-mode squeezer and a beam
+    # splitter: its EOF is that of the squeezed vacuum with the same n
+    l1 = local_rotation(0.5, 1.0) @ local_squeeze(0.8, -0.8) @ local_rotation(1.0, 0.5)
+    l2 = local_rotation(1.0, 0.5) @ local_squeeze(-0.8, 0.8) @ local_rotation(0.5, 1.0)
+    sym = l1 @ two_mode_squeezer(1.5) @ beam_splitter(0.5) @ l2
+    report = eof_from_cm(sym @ sym.T)
+    assert report.method == "pure"
+    assert report.eof == pytest.approx(
+        g_kappa(0.5 * (report.params.n + 1.0)), abs=1e-9)
+
+
+def test_eof_from_cm_local_frame_invariance_near_purity():
+    # pairs of random local frames of near-pure raw CMs.  A frame that
+    # validate_cm refuses (its eigen-solve rounds nu_- below 1 - 1e-9 on a
+    # sliver of such matrices) has no reduction to compare
+    rng = np.random.default_rng(41)
+    scored = 0
+    for _ in range(1000):
+        gamma = near_pure_cm(rng)[0]
+        frames = []
+        for sym in (random_local_symplectic(rng), random_local_symplectic(rng)):
+            moved = sym @ gamma @ sym.T
+            frames.append(0.5 * (moved + moved.T))
+        if not all(validate_cm(g).is_bona_fide for g in frames):
+            continue
+        first, second = (eof_from_cm(g).eof for g in frames)
+        assert first == pytest.approx(second, abs=1e-9)
+        scored += 1
+    assert scored >= 990
 
 
 def test_symmetric_eof_pure_identity():

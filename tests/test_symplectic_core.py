@@ -14,7 +14,7 @@ from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
                           validate_cm, validate_standard_form)
 from gaussian_eof.symplectic_core import OMEGA, params_from_json_dict
 
-from conftest import random_bona_fide_params
+from conftest import near_pure_cm, random_bona_fide_params
 
 
 def test_symplectic_form_identities():
@@ -122,17 +122,38 @@ def test_reduction_rejects_non_bona_fide():
 
 
 def test_reduction_preserves_symplectic_spectrum():
+    # n, m log-uniform on [1, 1e5]: a locally transformed standard form
+    # reduces to the parameters that generated it
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        params = random_bona_fide_params(rng)
-        gamma = standard_form_cm(params, 1.0, 1.0)
+    log_hi = math.log(1e5)
+    done = 0
+    while done < 1000:
+        n, m = (float(v) for v in np.exp(rng.uniform(0.0, log_hi, 2)))
+        kx = float(rng.uniform(0.02, 1.0)) * math.sqrt(n * m)
+        kp = -float(rng.uniform(0.02, 1.0)) * kx
+        params = StandardFormParams(n, m, kx, kp)
+        if not validate_standard_form(params).is_bona_fide:
+            continue
         s = random_local_symplectic(rng)
-        transported = s @ gamma @ s.T
-        reduced = reduce_to_standard_params(transported)
-        rebuilt = standard_form_cm(reduced, 1.0, 1.0)
-        nu_a = symplectic_eigenvalues(transported)
-        nu_b = symplectic_eigenvalues(rebuilt)
-        assert nu_a == pytest.approx(nu_b, abs=1e-10)
+        transported = s @ standard_form_cm(params, 1.0, 1.0) @ s.T
+        reduced = reduce_to_standard_params(0.5 * (transported + transported.T))
+        assert (reduced.n, reduced.m, reduced.kx, reduced.kp) == pytest.approx(
+            (n, m, kx, kp), rel=1e-12, abs=0.0), params
+        done += 1
+
+
+def test_reduction_of_near_pure_states():
+    # the reduced parameters keep the symplectic spectrum (nu1, nu2) that
+    # generated the raw CM.  On det C > 0 the canonical kp <= 0 is the
+    # partial transpose, so the spectrum is that of kp -> -kp
+    rng = np.random.default_rng(37)
+    for _ in range(1000):
+        gamma, (nu1, nu2) = near_pure_cm(rng)
+        red = reduce_to_standard_params(gamma)
+        kp = math.copysign(red.kp, np.linalg.det(gamma[:2, 2:]))
+        nu_minus, nu_plus = standard_form_nu(red.n, red.m, red.kx, kp)
+        assert abs(nu_minus - nu1) <= 1e-9, (nu1, nu2)
+        assert abs(nu_plus - nu2) <= 1e-9 * nu2, (nu1, nu2)
 
 
 def test_spectrum_invariant_under_local_symplectics():
