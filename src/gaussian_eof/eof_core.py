@@ -12,7 +12,8 @@ from .epr_uncertainty import EprQuantities, delta0, delta_prime
 from .errors import Degenerate, DomainError, InvalidState
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
-from .symplectic_core import StandardFormParams, validate_standard_form
+from .symplectic_core import (StandardFormParams, reduce_to_standard_params,
+                              validate_standard_form)
 
 _LN2 = math.log(2.0)
 
@@ -223,8 +224,7 @@ def giovannetti_family(kappa: float, nbar: float
 
 
 def eof_from_cm(gamma) -> EofReport:
-    """Convenience: reduce a raw CM and run the pipeline."""
-    from .symplectic_core import reduce_to_standard_params
+    """Convenience: validate and reduce a raw CM, and run the pipeline."""
     return eof(reduce_to_standard_params(gamma))
 
 

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Input-validation errors signal bad arguments or unphysical matrices; the
-reduction of a raw CM raises only InvalidState, for a matrix that
-validate_cm does not accept as bona fide.  Numerical errors signal a failed
+reduction of a raw CM raises InvalidState for a matrix that is not
+symmetric, not positive, or whose closed-form symplectic eigenvalues
+violate the uncertainty relation.  Numerical errors signal a failed
 solve on otherwise valid input; verification errors signal that a
 cross-check caught an inconsistency.
 The CLI maps these groups to exit codes 1, 2 and 3.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidState, NonFiniteEntry
 
-TOL_SYM = 1e-12       # max allowed |gamma_ij - gamma_ji|
+TOL_SYM = 1e-12       # max |gamma_ij - gamma_ji|, relative to max(1, max |gamma_ij|)
 TOL_PSD = 1e-9        # bona fide / purity tolerance on symplectic eigenvalues
 TOL_PRODUCT = 1e-12   # |kx|, |kp| below this means product state
 
@@ -134,23 +134,42 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
     return ValidityReport(True, True, nu, bona_fide, pure)
 
 
-def validate_cm(gamma: np.ndarray) -> ValidityReport:
-    """Check symmetry, positivity and the uncertainty relation for a CM.
+def _raw_cm(gamma) -> tuple[np.ndarray, bool]:
+    """gamma as a 4x4 float array, and whether it is symmetric.
 
-    Bona fide means gamma + i*Omega >= 0, equivalently both symplectic
-    eigenvalues >= 1 - TOL_PSD.  States on the boundary within tolerance are
-    accepted and flagged pure.  A matrix known to be a plain standard form
-    is checked by validate_standard_form, without the eigen-solve.
+    Symmetric means |gamma_ij - gamma_ji| <= TOL_SYM max(1, max |gamma_ij|):
+    the float product S gamma S^T of a symmetric gamma is asymmetric by
+    rounding errors of the size of its largest entries.
 
     Raises:
+        DomainError: if gamma is not 4x4.
         NonFiniteEntry: if any entry is NaN or infinite.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got shape {gamma.shape}")
-    if not np.all(np.isfinite(gamma)):
+    size = float(np.abs(gamma).max())   # NaN if any entry is NaN
+    if not math.isfinite(size):
         raise NonFiniteEntry("covariance matrix has non-finite entries")
-    sym = bool(np.max(np.abs(gamma - gamma.T)) <= TOL_SYM)
+    return gamma, bool(np.abs(gamma - gamma.T).max() <= TOL_SYM * max(1.0, size))
+
+
+def validate_cm(gamma: np.ndarray) -> ValidityReport:
+    """Check symmetry, positivity and the uncertainty relation for a CM.
+
+    Bona fide means gamma + i*Omega >= 0, equivalently both symplectic
+    eigenvalues >= 1 - TOL_PSD.  States on the boundary within tolerance are
+    accepted and flagged pure.  The symplectic eigenvalues come from the
+    4x4 eigen-solve of -(Omega gamma)^2; this is the CLI validate report and
+    the reference the closed forms are tested against.  The pipeline itself
+    validates in closed form: validate_standard_form for standard forms,
+    reduce_to_standard_params for raw matrices.
+
+    Raises:
+        DomainError: if gamma is not 4x4.
+        NonFiniteEntry: if any entry is NaN or infinite.
+    """
+    gamma, sym = _raw_cm(gamma)
     gs = 0.5 * (gamma + gamma.T)
     positive = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
     nu = symplectic_eigenvalues(gs)
@@ -198,7 +217,7 @@ def standard_form_cm(params: StandardFormParams,
 
 
 def reduce_to_standard_params(gamma: np.ndarray) -> StandardFormParams:
-    """Reduce a bona fide CM to its standard-form parameters (n, m, kx, kp).
+    """Validate a raw CM and reduce it to its standard form (n, m, kx, kp).
 
     Performs the local normalisation of Duan et al. (PRL 84, 2722 (2000)) in
     closed form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2}
@@ -211,18 +230,29 @@ def reduce_to_standard_params(gamma: np.ndarray) -> StandardFormParams:
     every entanglement quantity unchanged because such states are separable
     whenever they are bona fide.
 
+    Validation runs on the same quantities, without an eigen-solve: the
+    matrix must be symmetric (as in validate_cm), A and B positive
+    (a0 > 0, det A > 0, b0 > 0, det B > 0), and the signed standard form
+    (n, m, kx, kp), whose kp has the sign of det C, must pass
+    validate_standard_form (nm > kx^2 and nm > kp^2, i.e. gamma > 0, and
+    nu_- >= 1 - TOL_PSD).
+
     Raises:
+        DomainError: if gamma is not 4x4.
+        NonFiniteEntry: if any entry is NaN or infinite.
         InvalidState: if gamma is not a bona fide CM.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    report = validate_cm(gamma)
-    if not report.is_bona_fide:
-        raise InvalidState(
-            f"not a bona fide CM (symplectic eigenvalues {report.symplectic_eigenvalues})")
+    gamma, sym = _raw_cm(gamma)
+    if not sym:
+        raise InvalidState("not a bona fide CM: the matrix is not symmetric")
     (a0, a1, c00, c01), (_, a2, c10, c11), (_, _, b0, b1), (_, _, _, b2) = (
         0.5 * (gamma + gamma.T)).tolist()
-    n = math.sqrt(a0 * a2 - a1 * a1)
-    m = math.sqrt(b0 * b2 - b1 * b1)
+    det_a = a0 * a2 - a1 * a1
+    det_b = b0 * b2 - b1 * b1
+    if not (a0 > 0.0 and det_a > 0.0 and b0 > 0.0 and det_b > 0.0):
+        raise InvalidState("not a bona fide CM: the matrix is not positive")
+    n = math.sqrt(det_a)
+    m = math.sqrt(det_b)
     # A^{-1/2} = adj(A + nI) / (n sqrt(tr A + 2n)), likewise B^{-1/2}; the
     # entries of adj(A + nI) C adj(B + mI):
     x00, x01 = (a2 + n) * c00 - a1 * c10, (a2 + n) * c01 - a1 * c11
@@ -230,10 +260,19 @@ def reduce_to_standard_params(gamma: np.ndarray) -> StandardFormParams:
     y00, y01 = x00 * (b2 + m) - x01 * b1, x01 * (b0 + m) - x00 * b1
     y10, y11 = x10 * (b2 + m) - x11 * b1, x11 * (b0 + m) - x10 * b1
     scale = 0.5 / math.sqrt(n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m))
-    # C' = 2 scale y, whose singular values are q + r and |q - r|
+    # C' = 2 scale y, whose singular values are q + r and |q - r|; its
+    # determinant q^2 - r^2 has the sign of det C
     q = scale * math.hypot(y00 + y11, y10 - y01)
     r = scale * math.hypot(y00 - y11, y01 + y10)
-    kx, kp = q + r, -abs(q - r)
+    kx = q + r
+    report = validate_standard_form(StandardFormParams(n, m, kx, q - r))
+    if not report.is_positive:
+        raise InvalidState("not a bona fide CM: the matrix is not positive")
+    if not report.is_bona_fide:
+        raise InvalidState(
+            f"not a bona fide CM: closed-form symplectic eigenvalues "
+            f"{report.symplectic_eigenvalues}")
+    kp = -abs(q - r)
     if kx < TOL_PRODUCT and abs(kp) < TOL_PRODUCT:
         return StandardFormParams(n=n, m=m, kx=0.0, kp=0.0)
     return StandardFormParams(n=n, m=m, kx=kx, kp=kp)

@@ -3,7 +3,8 @@
 Each check prints a [PASS]/[FAIL] line with the measured values (run with
 ``pytest tests/test_acceptance.py -v -s`` to see all lines).  Five known-red
 checks, listed in the README, are asserted exactly as stated and fail
-honestly:
+honestly; they carry the ``known_red`` marker, so ``pytest -m known_red -q``
+runs them alone and prints their count:
 
 * ``test_criterion3_lower_bound[4]``: the stated symmetric surrogate of
   benchmark row 5 is separable, so the bound is 0, not the published 0.00142;
@@ -74,7 +75,8 @@ def test_criterion2_gaussian_eof_column(table1, table1_params):
 
 # --- criterion 3: published bound columns ---
 
-@pytest.mark.parametrize("row_index", range(6))
+@pytest.mark.parametrize(
+    "row_index", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.known_red), 5])
 def test_criterion3_lower_bound(table1, table1_params, row_index):
     p = table1_params[row_index]
     ref = table1["rows"][row_index]["rigolin_lower"]
@@ -84,7 +86,9 @@ def test_criterion3_lower_bound(table1, table1_params, row_index):
             f"computed {got:.6f}, published {ref}, |dev| = {dev:.2e} (tol 5e-5)")
 
 
-@pytest.mark.parametrize("row_index", range(6))
+@pytest.mark.parametrize(
+    "row_index", [0, 1, 2, pytest.param(3, marks=pytest.mark.known_red), 4,
+                  pytest.param(5, marks=pytest.mark.known_red)])
 def test_criterion3_upper_bound(table1, table1_params, row_index):
     p = table1_params[row_index]
     ref = table1["rows"][row_index]["oliveira_upper"]
@@ -264,6 +268,7 @@ def test_criterion7_bounded_above():
             f"EOF values {[round(v, 6) for v in values]} all < g(2) = 2")
 
 
+@pytest.mark.known_red
 def test_criterion7_strictly_increasing():
     grid = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
     values = [giovannetti_family(2.0, nb)[1].eof for nb in grid]
@@ -272,6 +277,7 @@ def test_criterion7_strictly_increasing():
             f"EOF over nbar {grid} = {[round(v, 6) for v in values]}")
 
 
+@pytest.mark.known_red
 def test_criterion7_large_nbar_approach():
     value = giovannetti_family(2.0, 50.0)[1].eof
     _report("criterion 7 (nbar=50 above 1.99)", value > 1.99,

@@ -69,6 +69,16 @@ def test_invalid_state_exits_one(capsys):
     assert json.loads(err)["error"] == "InvalidState"
 
 
+@pytest.mark.parametrize("gamma", [0.5 * np.eye(4), np.diag([2.0, 2.0, 1.0, -1.0])],
+                         ids=["uncertainty", "not_positive"])
+def test_invalid_raw_matrix_exits_one(tmp_path, capsys, gamma):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"gamma": gamma.tolist()}))
+    code, out, err = run_cli(capsys, "eof", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidState"
+
+
 def test_numerical_failure_exits_two(capsys):
     # indefinite decomposition weight on an asymmetric benchmark row
     code, _, err = run_cli(capsys, "verify-decomposition", "--params",

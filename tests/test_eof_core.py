@@ -9,7 +9,7 @@ from gaussian_eof import (Degenerate, DomainError, InvalidState,
                           local_rotation, local_squeeze,
                           random_local_symplectic, schmidt_coeffs_squeezed,
                           squeezed_thermal_eof, squeezed_vacuum_cm,
-                          symmetric_eof, validate_cm)
+                          symmetric_eof)
 
 from conftest import (beam_splitter, general_route_eof, general_route_epr,
                       is_bona_fide_params, is_entangled_params, near_pure_cm,
@@ -134,23 +134,17 @@ def test_eof_from_cm_pure_state_after_beam_splitter():
 
 
 def test_eof_from_cm_local_frame_invariance_near_purity():
-    # pairs of random local frames of near-pure raw CMs.  A frame that
-    # validate_cm refuses (its eigen-solve rounds nu_- below 1 - 1e-9 on a
-    # sliver of such matrices) has no reduction to compare
+    # pairs of random local frames of near-pure raw CMs; every frame is
+    # accepted and scored
     rng = np.random.default_rng(41)
-    scored = 0
     for _ in range(1000):
         gamma = near_pure_cm(rng)[0]
         frames = []
         for sym in (random_local_symplectic(rng), random_local_symplectic(rng)):
             moved = sym @ gamma @ sym.T
             frames.append(0.5 * (moved + moved.T))
-        if not all(validate_cm(g).is_bona_fide for g in frames):
-            continue
         first, second = (eof_from_cm(g).eof for g in frames)
         assert first == pytest.approx(second, abs=1e-9)
-        scored += 1
-    assert scored >= 990
 
 
 def test_symmetric_eof_pure_identity():

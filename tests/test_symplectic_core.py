@@ -117,13 +117,32 @@ def test_reduction_identity_is_product():
 
 
 def test_reduction_rejects_non_bona_fide():
-    with pytest.raises(InvalidState):
+    # each refusal names the test that failed
+    asymmetric = np.eye(4)
+    asymmetric[0, 1] = 1e-6
+    with pytest.raises(InvalidState, match="not symmetric"):
+        reduce_to_standard_params(asymmetric)
+    with pytest.raises(InvalidState, match="not positive"):
+        reduce_to_standard_params(np.diag([1.0, -1.0, 1.0, 1.0]))
+    # A and B positive, the whole matrix not: |kx| > sqrt(nm)
+    with pytest.raises(InvalidState, match="not positive"):
+        reduce_to_standard_params(
+            standard_form_cm(StandardFormParams(2.0, 2.0, 2.5, 0.0), 1.0, 1.0))
+    with pytest.raises(InvalidState, match="symplectic eigenvalues"):
         reduce_to_standard_params(0.5 * np.eye(4))
+    with pytest.raises(DomainError):
+        reduce_to_standard_params(np.eye(3))
+    with pytest.raises(NonFiniteEntry):
+        reduce_to_standard_params(np.diag([1.0, np.nan, 1.0, 1.0]))
 
 
 def test_reduction_preserves_symplectic_spectrum():
     # n, m log-uniform on [1, 1e5]: a locally transformed standard form
-    # reduces to the parameters that generated it
+    # reduces to the parameters that generated it.  The float product
+    # S gamma S^T is asymmetric by rounding errors of the size of its
+    # largest entries, beyond 1e-12 here, and is accepted as it is.  The
+    # eigen-solve's error on nu_- grows as eps nu_+^2, so it is held to the
+    # reduced spectrum relative to nu_+
     rng = np.random.default_rng(31)
     log_hi = math.log(1e5)
     done = 0
@@ -136,9 +155,12 @@ def test_reduction_preserves_symplectic_spectrum():
             continue
         s = random_local_symplectic(rng)
         transported = s @ standard_form_cm(params, 1.0, 1.0) @ s.T
-        reduced = reduce_to_standard_params(0.5 * (transported + transported.T))
+        reduced = reduce_to_standard_params(transported)
         assert (reduced.n, reduced.m, reduced.kx, reduced.kp) == pytest.approx(
             (n, m, kx, kp), rel=1e-12, abs=0.0), params
+        eig = symplectic_eigenvalues(0.5 * (transported + transported.T))
+        assert standard_form_nu(reduced.n, reduced.m, reduced.kx, reduced.kp) == (
+            pytest.approx(eig, rel=0.0, abs=1e-9 * eig[1])), params
         done += 1
 
 
@@ -154,6 +176,66 @@ def test_reduction_of_near_pure_states():
         nu_minus, nu_plus = standard_form_nu(red.n, red.m, red.kx, kp)
         assert abs(nu_minus - nu1) <= 1e-9, (nu1, nu2)
         assert abs(nu_plus - nu2) <= 1e-9 * nu2, (nu1, nu2)
+
+
+def test_reduction_accepts_near_pure_states():
+    # the eigen-solve of validate_cm rounds nu_- below 1 - TOL_PSD on a
+    # sliver of these bona fide matrices (one of this set); the reduction
+    # validates on the closed-form spectrum and accepts them all
+    rng = np.random.default_rng(46)
+    for _ in range(4000):
+        reduce_to_standard_params(near_pure_cm(rng)[0])
+
+
+def _raw_matrices(rng, size):
+    """Seeded raw 4x4 matrices, half of them symmetric only up to rounding.
+
+    Standard forms with n, m log-uniform on [0.2, 50], kx up to 1.05 sqrt(nm)
+    and kp of either sign, put in a random local frame: not positive, not
+    bona fide, classically correlated (det C > 0) or entangled; one in ten
+    of them is made asymmetric by 1e-9 of its largest entry.  The other half
+    are random symmetric matrices X X^T + c I, c in [-1, 2].
+    """
+    out = []
+    for i in range(size // 2):
+        n, m = (float(v) for v in np.exp(rng.uniform(math.log(0.2), math.log(50.0), 2)))
+        kx = float(rng.uniform(0.0, 1.05)) * math.sqrt(n * m)
+        kp = float(rng.uniform(-1.05, 1.05)) * kx
+        s = random_local_symplectic(rng)
+        gamma = s @ standard_form_cm(StandardFormParams(n, m, kx, kp), 1.0, 1.0) @ s.T
+        if i % 10 == 0:
+            gamma[0, 3] += 1e-9 * np.abs(gamma).max()
+        out.append(gamma)
+    for _ in range(size - size // 2):
+        x = rng.normal(size=(4, 4)) * rng.uniform(0.2, 3.0)
+        out.append(x @ x.T + rng.uniform(-1.0, 2.0) * np.eye(4))
+    return out
+
+
+def test_reduction_validation_matches_eigen_solve():
+    # the reduction accepts exactly the matrices validate_cm calls bona fide,
+    # and a refusal names the test the eigen-solve fails first
+    seen = set()
+    for gamma in _raw_matrices(np.random.default_rng(79), 20000):
+        oracle = validate_cm(gamma)
+        try:
+            reduce_to_standard_params(gamma)
+            refusal = None
+        except InvalidState as exc:
+            refusal = str(exc)
+        assert (refusal is None) == oracle.is_bona_fide, (gamma.tolist(), refusal)
+        if refusal is None:
+            outcome = "bona fide"
+        elif not oracle.is_symmetric_matrix:
+            outcome = "not symmetric"
+        elif not oracle.is_positive:
+            outcome = "not positive"
+        else:
+            outcome = "symplectic eigenvalues"
+        assert refusal is None or outcome in refusal, (gamma.tolist(), refusal)
+        seen.add(outcome)
+    assert seen == {"bona fide", "not symmetric", "not positive",
+                    "symplectic eigenvalues"}
 
 
 def test_spectrum_invariant_under_local_symplectics():
