@@ -5,13 +5,18 @@ identity, quadrature ordering (x_A, p_A, x_B, p_B).  The exact EOF is
 computed through the EPR-like-uncertainty pipeline; the Gaussian EOF,
 published lower and upper bounds, a truncated-Fock-space oracle and a
 Monte-Carlo decomposition check provide independent verification routes.
+
+The standard-form pipeline (errors, standard_form, standard_form_solver,
+epr_uncertainty, eof_core) needs only the standard library and is imported
+with the package, so eof() and eof_from_cm() run without numpy.  The
+numpy-backed modules (bounds, decomposition, fock_oracle, symplectic_core)
+and their names are imported on first access, through the module
+__getattr__ below; a resolved name is not stored here, so every lookup
+reaches the submodule's current binding.
 """
 
-from .bounds import (BoundsReport, GammaCandidate, bounds_report, gaussian_eof,
-                     minimize_reduced_determinant, oliveira_upper, rigolin_lower)
-from .decomposition import (DecompositionSpec, decomposition_spec,
-                            reconstruct_cm, sample_displacements,
-                            verify_reconstruction)
+from importlib import import_module as _import_module
+
 from .eof_core import (EofReport, eof, eof_from_cm, f_aux, g_kappa,
                        giovannetti_family, squeezed_thermal_eof, symmetric_eof)
 from .epr_uncertainty import (EprQuantities, delta0, delta_general,
@@ -20,20 +25,46 @@ from .epr_uncertainty import (EprQuantities, delta0, delta_general,
 from .errors import (Degenerate, DomainError, GaussianEofError, Infeasible,
                      InvalidState, NonFiniteEntry, NoRoot, NotPsd,
                      SandwichViolation, TruncationTooCoarse)
-from .fock_oracle import (SchmidtSpectrum, delta_of_spectrum,
-                          entropy_of_spectrum, minimal_entropy_spectrum,
-                          schmidt_coeffs_squeezed)
+from .standard_form import (StandardFormParams, ValidityReport,
+                            reduce_to_standard_params, standard_form_nu,
+                            validate_standard_form)
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
-from .symplectic_core import (OMEGA, StandardFormParams, ValidityReport,
-                              local_rotation, local_squeeze,
-                              random_local_symplectic,
-                              reduce_to_standard_params, squeezed_vacuum_cm,
-                              standard_form_cm, standard_form_nu,
-                              symplectic_eigenvalues, validate_cm,
-                              validate_standard_form)
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it provides on first access
+_LAZY_MODULES = {
+    "bounds": ("BoundsReport", "GammaCandidate", "bounds_report",
+               "gaussian_eof", "minimize_reduced_determinant",
+               "oliveira_upper", "rigolin_lower"),
+    "decomposition": ("DecompositionSpec", "decomposition_spec",
+                      "reconstruct_cm", "sample_displacements",
+                      "verify_reconstruction"),
+    "fock_oracle": ("SchmidtSpectrum", "delta_of_spectrum",
+                    "entropy_of_spectrum", "minimal_entropy_spectrum",
+                    "schmidt_coeffs_squeezed"),
+    "symplectic_core": ("OMEGA", "local_rotation", "local_squeeze",
+                        "random_local_symplectic", "squeezed_vacuum_cm",
+                        "standard_form_cm", "symplectic_eigenvalues",
+                        "validate_cm"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items()
+         for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        if name not in _LAZY_MODULES:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _import_module(f"{__name__}.{name}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))
+
 
 __all__ = [
     "OMEGA", "BoundsReport", "CriticalParams",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
-from .symplectic_core import StandardFormParams, validate_standard_form
+from .standard_form import StandardFormParams, validate_standard_form
 
 SCAN_POINTS = 2048
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

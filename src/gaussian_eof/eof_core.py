@@ -10,10 +10,11 @@ from dataclasses import dataclass, replace
 
 from .epr_uncertainty import EprQuantities, delta0, delta_prime
 from .errors import Degenerate, DomainError, InvalidState
+from .standard_form import (TOL_PSD, StandardFormParams,
+                            reduce_to_standard_params, standard_form_nu,
+                            validate_standard_form)
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
-from .symplectic_core import (StandardFormParams, reduce_to_standard_params,
-                              validate_standard_form)
 
 _LN2 = math.log(2.0)
 
@@ -81,11 +82,14 @@ def eof(params: StandardFormParams) -> EofReport:
     Dispatch, decided here and nowhere else: product and separable states
     report 0; pure and symmetric (n = m within 1e-12 relative) states take
     the symmetric closed form; a state with a mode within 1e-12 of the
-    vacuum is a product (a pure mode carries no correlations) and reports
-    separable with a0 = 1, b0 = 0 and r1 = r2 = 1; squeezed thermal states
-    (kx = -kp within 1e-12 relative) take the squeezed-thermal closed form;
-    everything else runs the squeezing solve, the critical-parameter
-    evaluation and f.
+    vacuum is a product (a pure mode carries no correlations), and a state
+    whose partial transpose is bona fide within TOL_PSD (its smaller
+    symplectic eigenvalue, standard_form_nu(n, m, kx, -kp)[0], is at least
+    1 - TOL_PSD) is separable by Simon's criterion (PRL 84, 2726 (2000));
+    both report separable with a0 = 1, b0 = 0 and r1 = r2 = 1.  Squeezed
+    thermal states (kx = -kp within 1e-12 relative) take the
+    squeezed-thermal closed form; everything else runs the squeezing
+    solve, the critical-parameter evaluation and f.
 
     Raises:
         DomainError: parameters not canonical.
@@ -110,7 +114,8 @@ def eof(params: StandardFormParams) -> EofReport:
         if report.is_pure and not closed.epr.separable:
             return replace(closed, method="pure")
         return closed
-    if n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12:
+    if (n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12
+            or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
         return EofReport(params=params.with_squeezings(1.0, 1.0),
                          epr=_separable_epr(), eof=0.0, method="separable")
     if abs(kx + kp) <= 1e-12 * kx:

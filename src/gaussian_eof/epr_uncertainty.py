@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidState
 from .standard_form_solver import CriticalParams, SqueezingSolution
-from .symplectic_core import StandardFormParams
+from .standard_form import StandardFormParams
 
 TOL_CLAMP = 1e-9
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
-from .symplectic_core import StandardFormParams
+from .standard_form import StandardFormParams, validate_standard_form
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,11 @@ def _solve_r1(params: StandardFormParams) -> float:
     Jarratt, BIT 11, 168 (1971)), so both ends close in.  The bracket is
     narrowed until its ends are adjacent floats, and the end with the
     smaller |residual| is returned.
+
+    A state that is bona fide only within TOL_PSD (nu_- < 1) may keep the
+    residual positive over the whole window, its root lying beyond r1 = n
+    by a margin of the tolerance's size; the window end r1 = n is then
+    returned.
     """
     n, m = params.n, params.m
 
@@ -100,6 +105,8 @@ def _solve_r1(params: StandardFormParams) -> float:
     lo, hi = 1.0, n
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi > 0.0:
+        if validate_standard_form(params).is_bona_fide:
+            return hi
         raise NoRoot("balance residual has no sign change on the r1 bracket; "
                      "input parameters do not describe a reducible state")
     w_lo, w_hi = f_lo, f_hi  # residuals as weighted by the Illinois rule
@@ -136,8 +143,9 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
 
     Raises:
         NoRoot: if the balance residual has the same sign at both ends of
-            the window r1 in [1, n] (as for kx^2 > n m), or n <= 1 leaves no
-            window; either signals invalid input parameters.
+            the window r1 in [1, n] on a state that is not bona fide (as for
+            kx^2 > n m), or n <= 1 leaves no window; either signals invalid
+            input parameters.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
@@ -168,7 +176,8 @@ def critical_params(params: StandardFormParams,
 
     Raises:
         Degenerate: pure-state limit n r1 - 1 <= 1e-12 (a0 indeterminate;
-            callers fall back to a0 = 1).
+            callers fall back to a0 = 1), or a0^2 so far from 1 that the
+            floor b0 rounds to 1.
     """
     n, m = params.n, params.m
     den = n * sol.r1 - 1.0
@@ -184,4 +193,7 @@ def critical_params(params: StandardFormParams,
             raise InvalidState(
                 f"critical-parameter consistency check failed: {a0sq} vs {alt}")
     b0 = math.sqrt(max(1.0 - 4.0 / (a0sq + 1.0 / a0sq) ** 2, 0.0))
+    if b0 >= 1.0:
+        raise Degenerate(
+            f"critical parameter a0^2 = {a0sq}: the floor b0 rounds to 1")
     return CriticalParams(a0=math.sqrt(a0sq), b0=b0)

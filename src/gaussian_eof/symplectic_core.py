@@ -1,77 +1,24 @@
-"""Covariance-matrix core: validation, constructors, standard-form reduction.
+"""Matrix layer: the symplectic form, CM constructors, the 4x4 eigen-solve.
 
-Conventions used throughout the package:
-
-* quadrature ordering (x_A, p_A, x_B, p_B);
-* the covariance matrix is dimensionless and vacuum-normalized, so the
-  vacuum CM is the 4x4 identity (some texts use a 1/2 normalization);
-* a matrix is a bona fide CM iff both symplectic eigenvalues are >= 1.
-
-Standard form parameters (n, m, kx, kp) refer to the locally-equivalent CM
-with diagonal blocks n*I, m*I and off-diagonal block diag(kx, kp); the
-one-mode squeezing factors (r1, r2), when present, place the CM in the
-fully reduced form used by the EPR-uncertainty pipeline.
+The conventions, StandardFormParams, the closed-form validation and the
+reduction of raw CMs live in standard_form, which needs no numpy; they are
+re-exported here, so every symplectic_core name keeps working.  This module
+imports numpy and serves the matrix-facing parts of the package: the CLI
+validate report, the bounds, the decomposition and the tests, which hold
+the closed forms to the eigen-solve of validate_cm.
 """
-
-import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidState, NonFiniteEntry
-
-TOL_SYM = 1e-12       # max |gamma_ij - gamma_ji|, relative to max(1, max |gamma_ij|)
-TOL_PSD = 1e-9        # bona fide / purity tolerance on symplectic eigenvalues
-TOL_PRODUCT = 1e-12   # |kx|, |kp| below this means product state
+from .errors import DomainError
+# the standard-form layer, re-exported
+from .standard_form import (TOL_PRODUCT, TOL_PSD, TOL_SYM, StandardFormParams,
+                            ValidityReport, _raw_cm, params_from_json_dict,
+                            reduce_to_standard_params, standard_form_nu,
+                            validate_standard_form)
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
-
-
-@dataclass(frozen=True)
-class StandardFormParams:
-    """Standard-form description (n, m, kx, kp) plus optional squeezing factors.
-
-    n and m are the local symplectic invariants sqrt(det A), sqrt(det B) of
-    the two mode blocks; kx and kp are the x and p correlations after
-    canonicalization (kx >= |kp|, kp <= 0 for entangled candidates).
-    """
-
-    n: float
-    m: float
-    kx: float
-    kp: float
-    r1: float | None = None
-    r2: float | None = None
-
-    @property
-    def is_product(self) -> bool:
-        return abs(self.kx) < TOL_PRODUCT and abs(self.kp) < TOL_PRODUCT
-
-    def with_squeezings(self, r1: float, r2: float) -> "StandardFormParams":
-        return replace(self, r1=r1, r2=r2)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "kx": self.kx, "kp": self.kp,
-                "r1": self.r1, "r2": self.r2}
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    is_symmetric_matrix: bool
-    is_positive: bool
-    symplectic_eigenvalues: tuple[float, float]
-    is_bona_fide: bool
-    is_pure: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "is_symmetric_matrix": self.is_symmetric_matrix,
-            "is_positive": self.is_positive,
-            "symplectic_eigenvalues": list(self.symplectic_eigenvalues),
-            "is_bona_fide": self.is_bona_fide,
-            "is_pure": self.is_pure,
-        }
 
 
 def symplectic_eigenvalues(gamma: np.ndarray) -> tuple[float, float]:
@@ -90,70 +37,6 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> tuple[float, float]:
     return nu_minus, nu_plus
 
 
-def standard_form_nu(n: float, m: float, kx: float,
-                     kp: float) -> tuple[float, float]:
-    """Symplectic eigenvalues (nu_-, nu_+) of the standard form (n, m, kx, kp).
-
-    Closed form in the invariants Delta = n^2 + m^2 + 2 kx kp and
-    det = (nm - kx^2)(nm - kp^2): nu_+^2 = (Delta + sqrt(Delta^2 - 4 det))/2
-    and nu_-^2 = det / nu_+^2, which does not cancel when nu_+ >> nu_-.  The
-    discriminant is evaluated as (n^2 - m^2)^2 + 4 (n kx + m kp)(m kx + n kp),
-    which is exactly 0 on symmetric squeezed thermal states (pure ones
-    included), where Delta^2 - 4 det cancels to rounding noise of size
-    sqrt(eps) Delta.  Defined for a positive matrix: n > 0, nm > kx^2 and
-    nm > kp^2.
-    """
-    delta = n * n + m * m + 2.0 * kx * kp
-    det = (n * m - kx * kx) * (n * m - kp * kp)
-    disc = (n * n - m * m) ** 2 + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
-    nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
-    return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
-
-
-def validate_standard_form(params: StandardFormParams) -> ValidityReport:
-    """validate_cm of the plain standard form (n, m, kx, kp), in closed form.
-
-    The same tests and tolerances as validate_cm(standard_form_cm(params,
-    1, 1)), without the eigen-solve: positive iff n > 0, nm > kx^2 and
-    nm > kp^2; bona fide iff also nu_- >= 1 - TOL_PSD; pure iff both
-    symplectic eigenvalues lie within TOL_PSD of 1.  A matrix that is not
-    positive has no symplectic eigenvalues and reports (nan, nan).
-
-    Raises:
-        NonFiniteEntry: if any parameter is NaN or infinite.
-    """
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
-        raise NonFiniteEntry("standard-form parameters must be finite")
-    nm = n * m
-    if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
-        return ValidityReport(True, False, (math.nan, math.nan), False, False)
-    nu = standard_form_nu(n, m, kx, kp)
-    bona_fide = nu[0] >= 1.0 - TOL_PSD
-    pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
-    return ValidityReport(True, True, nu, bona_fide, pure)
-
-
-def _raw_cm(gamma) -> tuple[np.ndarray, bool]:
-    """gamma as a 4x4 float array, and whether it is symmetric.
-
-    Symmetric means |gamma_ij - gamma_ji| <= TOL_SYM max(1, max |gamma_ij|):
-    the float product S gamma S^T of a symmetric gamma is asymmetric by
-    rounding errors of the size of its largest entries.
-
-    Raises:
-        DomainError: if gamma is not 4x4.
-        NonFiniteEntry: if any entry is NaN or infinite.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 matrix, got shape {gamma.shape}")
-    size = float(np.abs(gamma).max())   # NaN if any entry is NaN
-    if not math.isfinite(size):
-        raise NonFiniteEntry("covariance matrix has non-finite entries")
-    return gamma, bool(np.abs(gamma - gamma.T).max() <= TOL_SYM * max(1.0, size))
-
-
 def validate_cm(gamma: np.ndarray) -> ValidityReport:
     """Check symmetry, positivity and the uncertainty relation for a CM.
 
@@ -169,8 +52,9 @@ def validate_cm(gamma: np.ndarray) -> ValidityReport:
         DomainError: if gamma is not 4x4.
         NonFiniteEntry: if any entry is NaN or infinite.
     """
-    gamma, sym = _raw_cm(gamma)
-    gs = 0.5 * (gamma + gamma.T)
+    (a0, a1, c00, c01, a2, c10, c11, b0, b1, b2), sym = _raw_cm(gamma)
+    gs = np.array([[a0, a1, c00, c01], [a1, a2, c10, c11],
+                   [c00, c10, b0, b1], [c01, c11, b1, b2]])
     positive = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
     nu = symplectic_eigenvalues(gs)
     bona_fide = sym and positive and nu[0] >= 1.0 - TOL_PSD
@@ -216,68 +100,6 @@ def standard_form_cm(params: StandardFormParams,
     ])
 
 
-def reduce_to_standard_params(gamma: np.ndarray) -> StandardFormParams:
-    """Validate a raw CM and reduce it to its standard form (n, m, kx, kp).
-
-    Performs the local normalisation of Duan et al. (PRL 84, 2722 (2000)) in
-    closed form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2}
-    turn the diagonal blocks into n I and m I, with n = sqrt(det A) and
-    m = sqrt(det B), and the correlation block into
-    C' = sqrt(nm) A^{-1/2} C B^{-1/2}.  A local rotation on each side then
-    diagonalises C', whose singular values are kx >= |kp|.  The result is
-    canonicalized to kp <= 0; for classically-correlated inputs (det C > 0)
-    the sign flip on kp amounts to a partial transposition, which leaves
-    every entanglement quantity unchanged because such states are separable
-    whenever they are bona fide.
-
-    Validation runs on the same quantities, without an eigen-solve: the
-    matrix must be symmetric (as in validate_cm), A and B positive
-    (a0 > 0, det A > 0, b0 > 0, det B > 0), and the signed standard form
-    (n, m, kx, kp), whose kp has the sign of det C, must pass
-    validate_standard_form (nm > kx^2 and nm > kp^2, i.e. gamma > 0, and
-    nu_- >= 1 - TOL_PSD).
-
-    Raises:
-        DomainError: if gamma is not 4x4.
-        NonFiniteEntry: if any entry is NaN or infinite.
-        InvalidState: if gamma is not a bona fide CM.
-    """
-    gamma, sym = _raw_cm(gamma)
-    if not sym:
-        raise InvalidState("not a bona fide CM: the matrix is not symmetric")
-    (a0, a1, c00, c01), (_, a2, c10, c11), (_, _, b0, b1), (_, _, _, b2) = (
-        0.5 * (gamma + gamma.T)).tolist()
-    det_a = a0 * a2 - a1 * a1
-    det_b = b0 * b2 - b1 * b1
-    if not (a0 > 0.0 and det_a > 0.0 and b0 > 0.0 and det_b > 0.0):
-        raise InvalidState("not a bona fide CM: the matrix is not positive")
-    n = math.sqrt(det_a)
-    m = math.sqrt(det_b)
-    # A^{-1/2} = adj(A + nI) / (n sqrt(tr A + 2n)), likewise B^{-1/2}; the
-    # entries of adj(A + nI) C adj(B + mI):
-    x00, x01 = (a2 + n) * c00 - a1 * c10, (a2 + n) * c01 - a1 * c11
-    x10, x11 = (a0 + n) * c10 - a1 * c00, (a0 + n) * c11 - a1 * c01
-    y00, y01 = x00 * (b2 + m) - x01 * b1, x01 * (b0 + m) - x00 * b1
-    y10, y11 = x10 * (b2 + m) - x11 * b1, x11 * (b0 + m) - x10 * b1
-    scale = 0.5 / math.sqrt(n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m))
-    # C' = 2 scale y, whose singular values are q + r and |q - r|; its
-    # determinant q^2 - r^2 has the sign of det C
-    q = scale * math.hypot(y00 + y11, y10 - y01)
-    r = scale * math.hypot(y00 - y11, y01 + y10)
-    kx = q + r
-    report = validate_standard_form(StandardFormParams(n, m, kx, q - r))
-    if not report.is_positive:
-        raise InvalidState("not a bona fide CM: the matrix is not positive")
-    if not report.is_bona_fide:
-        raise InvalidState(
-            f"not a bona fide CM: closed-form symplectic eigenvalues "
-            f"{report.symplectic_eigenvalues}")
-    kp = -abs(q - r)
-    if kx < TOL_PRODUCT and abs(kp) < TOL_PRODUCT:
-        return StandardFormParams(n=n, m=m, kx=0.0, kp=0.0)
-    return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
-
-
 # --- local symplectic generators (used by invariance tests and examples) ---
 
 def local_rotation(theta_a: float, theta_b: float) -> np.ndarray:
@@ -302,18 +124,3 @@ def random_local_symplectic(rng: np.random.Generator,
     t1, t2, t3, t4 = rng.uniform(0.0, 2.0 * np.pi, size=4)
     s1, s2 = rng.uniform(-max_squeeze, max_squeeze, size=2)
     return local_rotation(t1, t2) @ local_squeeze(s1, s2) @ local_rotation(t3, t4)
-
-
-def params_from_json_dict(payload: dict) -> StandardFormParams:
-    """Parse the CM JSON schema: {"gamma": [[...]]} or {"params": {...}}."""
-    if "gamma" in payload:
-        gamma = np.asarray(payload["gamma"], dtype=float)
-        return reduce_to_standard_params(gamma)
-    if "params" in payload:
-        p = payload["params"]
-        try:
-            return StandardFormParams(n=float(p["n"]), m=float(p["m"]),
-                                      kx=float(p["kx"]), kp=float(p["kp"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed params object: {exc}") from exc
-    raise DomainError('input JSON must contain "gamma" or "params"')

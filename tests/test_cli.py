@@ -141,6 +141,11 @@ def test_table1_default_and_strict(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["rows"]) == 6
+    # the top-level count is the number of cells outside their tolerance
+    out_of_tol = sum(not c["within_tolerance"]
+                     for row in payload["rows"] for c in row["cells"].values())
+    assert payload["cells_out_of_tolerance"] == out_of_tol
+    assert payload["all_within_tolerance"] == (out_of_tol == 0)
     # strict exits nonzero iff some cell deviates beyond tolerance
     code_strict, out_strict, _ = run_cli(capsys, "table1", "--strict",
                                          "--format", "json")
@@ -215,16 +220,95 @@ def test_unknown_command_exits_one(capsys):
     assert code == 1
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency and sampling runs on one thread; the
-    # package pulls in neither scipy nor concurrent.futures
+def _fresh_python(code, *args):
+    """stdout of `code` run by a new interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_eof.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, gaussian_eof\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy'\n"
-            "             or m.startswith('concurrent.futures')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency and sampling runs on one thread; the
+    # standard-form path (the import, eof --params and eof --input on a
+    # gamma matrix) loads neither numpy nor scipy nor concurrent.futures
+    path = tmp_path / "state.json"
+    gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
+    path.write_text(json.dumps({"gamma": gamma.tolist()}))
+    code = ("import json, sys\n"
+            "def heavy():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('numpy', 'scipy')\n"
+            "                  or m.startswith('concurrent.futures'))\n"
+            "import gaussian_eof\n"
+            "loaded = [heavy()]\n"
+            "from gaussian_eof.cli import main\n"
+            "codes = [main(['eof', '--params', '2', '1.5', '1', '-1'])]\n"
+            "loaded.append(heavy())\n"
+            "codes.append(main(['eof', '--input', sys.argv[1], '--format', 'json']))\n"
+            "loaded.append(heavy())\n"
+            "print(json.dumps([codes, loaded]))\n")
+    out = _fresh_python(code, str(path)).strip().splitlines()[-1]
+    assert json.loads(out) == [[0, 0], [[], [], []]]
+
+
+_SUBMODULES = ("bounds", "decomposition", "eof_core", "epr_uncertainty",
+               "errors", "fock_oracle", "standard_form", "standard_form_solver",
+               "symplectic_core")
+
+
+def test_public_names_resolve():
+    # every public name and every submodule resolves through getattr, a
+    # name is the submodule's own object and is not stored in the package,
+    # and an unknown name raises AttributeError without importing numpy
+    code = ("import json, sys\n"
+            "import gaussian_eof as g\n"
+            "unknown = hasattr(g, 'no_such_name') or hasattr(g, '__wrapped__')\n"
+            "numpy_after_unknown = 'numpy' in sys.modules\n"
+            "mods = {m: getattr(g, m).__name__ for m in sys.argv[1:]}\n"
+            "missing = [n for n in g.__all__ if getattr(g, n, None) is None]\n"
+            "foreign = [n for n in g.__all__ if not any(\n"
+            "    getattr(sys.modules['gaussian_eof.' + m], n, None) is getattr(g, n)\n"
+            "    for m in sys.argv[1:])]\n"
+            "print(json.dumps([unknown, numpy_after_unknown, mods, missing,\n"
+            "                  foreign, sorted(vars(g)), sorted(dir(g))]))\n")
+    out = _fresh_python(code, *_SUBMODULES).strip().splitlines()[-1]
+    unknown, numpy_loaded, mods, missing, foreign, stored, listed = json.loads(out)
+    assert not unknown and not numpy_loaded
+    assert mods == {m: f"gaussian_eof.{m}" for m in _SUBMODULES}
+    assert missing == [] and foreign == []
+    lazy = {"OMEGA", "bounds_report", "validate_cm", "verify_reconstruction",
+            "SchmidtSpectrum", "gaussian_eof"}
+    assert not lazy & set(stored)
+    assert set(gaussian_eof.__all__) | set(_SUBMODULES) | {"__version__"} <= set(listed)
+
+
+def test_star_import_and_numpy_commands_in_a_fresh_process(tmp_path):
+    # from gaussian_eof import * binds all of __all__; bounds, table1 and
+    # validate import what they need on first use
+    path = tmp_path / "vac.json"
+    path.write_text(json.dumps({"gamma": np.eye(4).tolist()}))
+    code = ("import json, sys\n"
+            "import gaussian_eof\n"
+            "ns = {}\n"
+            "exec('from gaussian_eof import *', ns)\n"
+            "unbound = sorted(set(gaussian_eof.__all__) - set(ns))\n"
+            "from gaussian_eof.cli import main\n"
+            "codes = [main(['bounds', '--params', '2', '1.5', '1', '-1']),\n"
+            "         main(['table1', '--format', 'csv']),\n"
+            "         main(['validate', '--input', sys.argv[1]])]\n"
+            "print(json.dumps([unbound, codes]))\n")
+    out = _fresh_python(code, str(path)).strip().splitlines()[-1]
+    assert json.loads(out) == [[], [0, 0, 0]]
+
+
+def test_package_lookup_sees_the_submodule_binding(monkeypatch):
+    # lazily resolved names are looked up on every access, so a rebinding
+    # in the submodule (monkeypatch, the benchmark tracer) is what the
+    # package returns
+    def fake(params):
+        return None
+
+    monkeypatch.setattr(bounds_mod, "bounds_report", fake)
+    assert gaussian_eof.bounds_report is fake

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import (Degenerate, DomainError, InvalidState,
+from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
                           StandardFormParams, entropy_of_spectrum, eof,
                           eof_from_cm, f_aux, g_kappa, giovannetti_family,
                           local_rotation, local_squeeze,
                           random_local_symplectic, schmidt_coeffs_squeezed,
                           squeezed_thermal_eof, squeezed_vacuum_cm,
-                          symmetric_eof)
+                          standard_form_nu, symmetric_eof,
+                          validate_standard_form)
+from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (beam_splitter, general_route_eof, general_route_epr,
                       is_bona_fide_params, is_entangled_params, near_pure_cm,
@@ -256,6 +258,91 @@ def test_vacuum_mode_is_separable_on_the_general_route():
             assert report.method == "separable" and report.eof == 0.0
             assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
             assert (report.params.r1, report.params.r2) == (1.0, 1.0)
+
+
+def _kx_at_nu_minus(n, m, t, target, flip=False):
+    """The largest kx with nu_-(n, m, kx, -t kx) >= target, by bisection to
+    adjacent floats; with flip, nu_- of the partial transpose (kp -> t kx)."""
+    sign = 1.0 if flip else -1.0
+    lo, hi = 0.0, math.sqrt(n * m)
+    while True:
+        kx = 0.5 * (lo + hi)
+        if kx in (lo, hi):
+            return lo
+        if n * m > kx * kx and standard_form_nu(n, m, kx, sign * t * kx)[0] >= target:
+            lo = kx
+        else:
+            hi = kx
+
+
+def test_ppt_band_is_separable():
+    # a partial transpose with nu~_- in [1 - TOL_PSD, 1) is bona fide within
+    # the tolerance, so the state is separable (Simon's criterion).  These
+    # states used to reach the squeezing solve, which raised NoRoot next to
+    # the vacuum and gave at most ~1e-17 bits elsewhere
+    states = [StandardFormParams(1.0 + eps, 10.0, 5e-5, -2.5e-5)
+              for eps in (1e-10, 1e-11)]
+    for n, m, t in ((2.0, 3.0, 0.5), (1.3, 7.0, 0.9), (4.0, 1.1, 0.2)):
+        kx = _kx_at_nu_minus(n, m, t, 1.0 - 5e-10, flip=True)
+        states.append(StandardFormParams(n, m, kx, -t * kx))
+    for p in states:
+        for q in (p, StandardFormParams(p.m, p.n, p.kx, p.kp)):
+            nu_pt = standard_form_nu(q.n, q.m, q.kx, -q.kp)[0]
+            assert 1.0 - TOL_PSD <= nu_pt < 1.0, q
+            report = eof(q)
+            assert report.method == "separable" and report.eof == 0.0, q
+            assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
+            if min(q.n, q.m) > 1.01:
+                assert general_route_eof(q) <= 1e-15, q
+
+
+def _thermal_entropy(x):
+    """Entropy in bits of a thermal mode with mean photon number x."""
+    return (x + 1.0) * math.log2(x + 1.0) - (x * math.log2(x) if x > 0 else 0.0)
+
+
+def test_no_root_failure_at_the_bona_fide_edge_near_the_vacuum():
+    # one mode 1e-12..1e-9 above the vacuum, nu_- within TOL_PSD of 1 on
+    # either side, m log-uniform on [1.001, 1e4], kp = -t kx; each state in
+    # both mode orders.  No state raises NoRoot.  A bona fide state's EOF
+    # is at most the entropy g((n - 1)/2) of its near-vacuum mode; a state
+    # that violates the uncertainty relation within TOL_PSD has no such
+    # bound, and its EOF stays below 1e-7 bits
+    rng = np.random.default_rng(83)
+    routes = set()
+    refused = 0
+    for i in range(1000):
+        side = 1.0 if i % 2 else -1.0
+        n = 1.0 + 10.0 ** rng.uniform(-12.0, -9.0)
+        m = math.exp(rng.uniform(math.log(1.001), math.log(1e4)))
+        t = rng.uniform(0.0, 1.0)
+        kx = _kx_at_nu_minus(n, m, t, 1.0 + side * rng.uniform(0.0, TOL_PSD))
+        for p in (StandardFormParams(n, m, kx, -t * kx),
+                  StandardFormParams(m, n, kx, -t * kx)):
+            assert validate_standard_form(p).is_bona_fide
+            try:
+                report = eof(p)
+            except NoRoot as exc:
+                pytest.fail(f"{p}: {exc}")
+            except InvalidState:
+                # the critical-parameter consistency check compares
+                # (m/r2 - 1)/(n/r1 - 1), which loses all its digits next to
+                # the vacuum, at 1e-9 absolute: a known refusal, not a
+                # failed solve
+                refused += 1
+                continue
+            routes.add(report.method)
+            if side > 0:
+                assert report.eof <= _thermal_entropy((n - 1.0) / 2.0), p
+            assert report.eof <= 1e-7, p
+    assert routes == {"separable", "general"}
+    assert refused <= 2
+    # a0^2 ~ 3e8 here, so the floor b0 rounds to 1 and critical_params
+    # falls back to a0 = 1, b0 = 0 (Degenerate)
+    p = StandardFormParams(1.0000000000018257, 589.6240022419017,
+                           0.0007777029954098265, -0.0007606212219651498)
+    for q in (p, StandardFormParams(p.m, p.n, p.kx, p.kp)):
+        assert eof(q).eof <= 1e-7
 
 
 def test_squeezed_thermal_domain():

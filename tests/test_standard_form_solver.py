@@ -6,7 +6,8 @@ import pytest
 from gaussian_eof import (CriticalParams, Degenerate, DomainError, NoRoot,
                           SqueezingSolution, StandardFormParams,
                           critical_params, eof, solve_squeezings,
-                          standard_form_solver, validate_standard_form)
+                          standard_form_nu, standard_form_solver,
+                          validate_standard_form)
 
 from conftest import (is_bona_fide_params, is_entangled_params,
                       random_entangled_params)
@@ -274,6 +275,16 @@ def test_no_root_for_unphysical_parameters():
     # kx^2 > n m violates positivity; the balance residual never crosses zero
     with pytest.raises(NoRoot):
         solve_squeezings(StandardFormParams(2.0, 1.5, 1.9, -0.1))
+
+
+def test_root_beyond_the_window_within_tolerance():
+    # nu_- = 1 - 4.5e-11: bona fide within TOL_PSD, and the balance residual
+    # stays positive up to r1 = n, so the window end is the root
+    p = StandardFormParams(1.0 + 1e-10, 10.0, 5e-5, -2.5e-5)
+    assert validate_standard_form(p).is_bona_fide
+    assert standard_form_nu(p.n, p.m, p.kx, p.kp)[0] < 1.0
+    sol = solve_squeezings(p)
+    assert (sol.r1, sol.r2) == (p.n, p.m)
 
 
 def test_critical_params_symmetric():

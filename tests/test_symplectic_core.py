@@ -12,6 +12,7 @@ from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
                           squeezed_vacuum_cm, standard_form_cm,
                           standard_form_nu, symplectic_eigenvalues,
                           validate_cm, validate_standard_form)
+from gaussian_eof.standard_form import TOL_SYM, _raw_cm
 from gaussian_eof.symplectic_core import OMEGA, params_from_json_dict
 
 from conftest import near_pure_cm, random_bona_fide_params
@@ -236,6 +237,88 @@ def test_reduction_validation_matches_eigen_solve():
         seen.add(outcome)
     assert seen == {"bona fide", "not symmetric", "not positive",
                     "symplectic eigenvalues"}
+
+
+def _numpy_raw_cm(gamma):
+    """The raw-entry stage written in numpy, the reference for the scalar
+    _raw_cm: the symmetric part and the symmetry flag."""
+    g = np.asarray(gamma, dtype=float)
+    size = float(np.abs(g).max())
+    sym = bool(np.abs(g - g.T).max() <= TOL_SYM * max(1.0, size))
+    return 0.5 * (g + g.T), sym
+
+
+def test_scalar_raw_cm_matches_numpy():
+    # on the populations of test_reduction_validation_matches_eigen_solve
+    # and test_reduction_of_near_pure_states, the scalar reading of the
+    # entries gives the numpy symmetric part bit for bit and the same
+    # symmetry flag, so the reduction, which is scalar past this stage,
+    # returns bit-identical parameters
+    rng = np.random.default_rng(37)
+    matrices = (_raw_matrices(np.random.default_rng(79), 20000)
+                + [near_pure_cm(rng)[0] for _ in range(1000)])
+    triu = np.triu_indices(4)
+    asymmetric = 0
+    for gamma in matrices:
+        upper, sym = _raw_cm(gamma)
+        gs, np_sym = _numpy_raw_cm(gamma)
+        assert upper == tuple(gs[triu].tolist()), gamma.tolist()
+        assert sym == np_sym, gamma.tolist()
+        asymmetric += not sym
+        if sym:
+            try:
+                expect = reduce_to_standard_params(gs)
+            except InvalidState:
+                continue
+            assert reduce_to_standard_params(gamma) == expect
+    assert asymmetric > 0
+
+
+def test_reduction_accepts_lists_and_arrays():
+    rng = np.random.default_rng(41)
+    s = random_local_symplectic(rng)
+    params = StandardFormParams(2.0, 1.5, 1.0, -0.7)
+    gamma = s @ standard_form_cm(params, 1.0, 1.0) @ s.T
+    gamma = 0.5 * (gamma + gamma.T)
+    expect = reduce_to_standard_params(gamma)
+    rows = gamma.tolist()
+    for form in (rows, tuple(tuple(r) for r in rows), list(gamma)):
+        assert reduce_to_standard_params(form) == expect
+        assert validate_cm(form) == validate_cm(gamma)
+    # integer entries are read as floats
+    assert reduce_to_standard_params([[2, 0, 1, 0], [0, 2, 0, -1],
+                                      [1, 0, 2, 0], [0, -1, 0, 2]]) == (
+        reduce_to_standard_params(2.0 * np.eye(4) + np.array(
+            [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]], float)))
+
+
+@pytest.mark.parametrize("gamma", [
+    np.eye(3), np.eye(4)[:, :3], np.ones((4, 5)), np.zeros((4, 4, 1)),
+    np.zeros((2, 4, 4)), np.float64(1.0), [[1.0] * 4] * 3,
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0, [0.0]]] * 4, [["x"] * 4] * 4,
+], ids=["3x3", "4x3", "4x5", "4x4x1", "2x4x4", "scalar", "3 rows",
+        "ragged", "nested entry", "strings"])
+def test_reduction_rejects_wrong_shapes(gamma):
+    with pytest.raises(DomainError):
+        reduce_to_standard_params(gamma)
+    with pytest.raises(DomainError):
+        validate_cm(gamma)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_at_any_position(bad):
+    # checked entry by entry: max() over a NaN depends on where it sits
+    for i in range(4):
+        for j in range(4):
+            gamma = np.eye(4)
+            gamma[i, j] = bad
+            for form in (gamma, gamma.tolist()):
+                with pytest.raises(NonFiniteEntry):
+                    reduce_to_standard_params(form)
+                with pytest.raises(NonFiniteEntry):
+                    validate_cm(form)
 
 
 def test_spectrum_invariant_under_local_symplectics():
