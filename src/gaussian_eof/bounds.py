@@ -7,8 +7,8 @@ det(C_x - Gamma) = 0 and det(Gamma - C_p^{-1}) = 0, where C_x and C_p are
 the x and p blocks of the standard-form CM.  At fixed x1 the two touching
 conditions are rectangular hyperbolas in (x0+x3, x0-x3) whose intersection
 lies on a line, so the feasible points are roots of a single quadratic;
-the remaining one-dimensional problem in x1 is scanned in numpy, polished
-by golden section.
+the remaining one-dimensional problem in x1 is scanned in numpy, and the
+grid winner is polished by Brent's parabolic minimization.
 """
 
 import math
@@ -21,7 +21,7 @@ from .errors import Infeasible, SandwichViolation
 from .standard_form import StandardFormParams, validate_standard_form
 
 SCAN_POINTS = 2048
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _PSD_SIDE_TOL = 1e-11
 SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
@@ -80,27 +80,30 @@ def _xp_blocks(params: StandardFormParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12):
-    """Feasible (u, v, objective) triples at fixed x1, u/v = x0 +/- x3.
+    """Lowest-objective feasible (u, v, objective) at fixed x1, u/v = x0 +/- x3.
 
     The two touching conditions are (cx11 - u)(cx22 - v) = (kx - x1)^2 and
     (u - p11)(v - p22) = (x1 - p12)^2; subtracting them shows all
-    intersections lie on a line, leaving a quadratic in u.
+    intersections lie on a line, leaving a quadratic in u.  Returns None
+    where no root is feasible.
     """
-    alpha2 = (kx - x1) ** 2
-    beta2 = (x1 - p12) ** 2
+    dx = kx - x1
+    dp = x1 - p12
+    alpha2 = dx * dx
+    beta2 = dp * dp
     a_coef = cx22 - p22
     b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
     c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
     if abs(a_coef) < 1e-14:
-        roots = [c_coef / b_coef] if abs(b_coef) > 1e-14 else []
+        roots = (c_coef / b_coef,) if abs(b_coef) > 1e-14 else ()
     else:
         disc = b_coef * b_coef - 4.0 * a_coef * c_coef
         if disc < 0.0:
-            return []
+            return None
         sq = math.sqrt(disc)
         q = 0.5 * (b_coef + sq) if b_coef >= 0.0 else 0.5 * (b_coef - sq)
-        roots = [q / a_coef] if q == 0.0 else [q / a_coef, c_coef / q]
-    out = []
+        roots = (q / a_coef,) if q == 0.0 else (q / a_coef, c_coef / q)
+    best = None
     den = cx11 - p11
     for u in roots:
         if abs(den) > 1e-12:
@@ -122,21 +125,23 @@ def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12):
             continue
         if (u - p11) < -_PSD_SIDE_TOL or (v - p22) < -_PSD_SIDE_TOL:
             continue
-        out.append((u, v, 1.0 + x1 * x1 / det_g))
-    return out
+        obj = 1.0 + x1 * x1 / det_g
+        if best is None or obj < best[2]:
+            best = (u, v, obj)
+    return best
 
 
 def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
-    """Smallest objective of _candidates_at_x1 at every x1 in xs, inf where none.
+    """Objective of _candidates_at_x1 at every x1 in xs, inf where none.
 
     The same closed form, thresholds and feasibility filters, evaluated over
     the whole grid with the same operations in the same order, so each entry
-    equals the scalar minimum exactly.  The squares go through float_power,
-    i.e. the C pow that the scalar ``** 2`` calls; ``x * x`` can differ from
-    it in the last bit.
+    equals the scalar minimum exactly.
     """
-    alpha2 = np.float_power(kx - xs, 2)
-    beta2 = np.float_power(xs - p12, 2)
+    dx = kx - xs
+    dp = xs - p12
+    alpha2 = dx * dx
+    beta2 = dp * dp
     a_coef = cx22 - p22
     b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
     c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
@@ -172,10 +177,10 @@ def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
 
 def _scan_coefficients(params: StandardFormParams) -> tuple[float, ...]:
     """(cx11, cx22, kx, p11, p22, p12): C_x entries and C_p^{-1} entries."""
-    cx, cp = _xp_blocks(params)
-    pinv = np.linalg.inv(cp)
-    return (float(cx[0, 0]), float(cx[1, 1]), float(cx[0, 1]),
-            float(pinv[0, 0]), float(pinv[1, 1]), float(pinv[0, 1]))
+    n, m, kx, kp = (float(params.n), float(params.m), float(params.kx),
+                    float(params.kp))
+    det_p = n * m - kp * kp
+    return n, m, kx, m / det_p, n / det_p, -kp / det_p
 
 
 def minimize_reduced_determinant(params: StandardFormParams,
@@ -184,8 +189,10 @@ def minimize_reduced_determinant(params: StandardFormParams,
     """Minimize det of the reduced pure-state CM over the touching variety.
 
     Scans x1 in [-kx, kx] in numpy, solving the touching conditions exactly
-    at every grid point at once, and polishes the winner by golden section
-    to 1e-12 in the objective.
+    at every grid point at once, and polishes the winner within one grid
+    step on either side by Brent's localmin (successive parabolic
+    interpolation, golden-section steps where a parabola is refused) to
+    1e-12 relative in x1.  The result is never above the grid winner.
 
     Raises:
         Infeasible: no parameter point satisfies both constraints with a
@@ -193,53 +200,80 @@ def minimize_reduced_determinant(params: StandardFormParams,
     """
     coefs = _scan_coefficients(params)
     kx = coefs[2]
-
-    def best(x1):
-        cands = _candidates_at_x1(x1, *coefs)
-        if not cands:
-            return None
-        return min(cands, key=lambda c: c[2])
-
     xs = np.linspace(-kx, kx, n_scan)
     grid = _grid_objective(xs, *coefs)
     if not np.any(grid < math.inf):
         raise Infeasible("no feasible touching point; state separable or invalid")
     i0 = int(np.argmin(grid))
     obj0, x1_0 = float(grid[i0]), float(xs[i0])
-    step = xs[1] - xs[0] if n_scan > 1 else kx
-    lo = max(x1_0 - step, -kx)
-    hi = min(x1_0 + step, kx)
-
-    def objective(x1):
-        cand = best(x1)
-        return math.inf if cand is None else cand[2]
-
-    # golden-section polish, stopping on the objective
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-        tiny_bracket = (b - a) <= 1e-13 * max(1.0, abs(a) + abs(b))
-        if abs(fc - fd) <= 1e-12 * max(1.0, abs(fc)) and tiny_bracket:
-            break
-    x1_star = c if fc < fd else d
-    cand = best(x1_star)
-    if cand is None or cand[2] > obj0:
-        x1_star = x1_0
-        cand = best(x1_0)
+    step = float(xs[1] - xs[0]) if n_scan > 1 else kx
+    x1_star, cand = _brent_polish(coefs, max(x1_0 - step, -kx),
+                                  min(x1_0 + step, kx), x1_0, obj0)
+    if cand is None:
+        # no feasible point at or below obj0 was found: keep the grid point
+        x1_star, cand = x1_0, _candidates_at_x1(x1_0, *coefs)
     u, v, obj = cand
-    m_opt = float(min(obj, obj0))
+    m_opt = min(obj, obj0)
     return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=float(x1_star),
                                  x3=0.5 * (u - v))
+
+
+def _brent_polish(coefs, a, b, x, fx):
+    """Brent's localmin of the objective on [a, b] from x, whose value is fx.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
+    The objective is inf where no point is feasible, so a parabola is
+    fitted only through finite values.  Returns the final x and its
+    _candidates_at_x1 triple, or None when no trial point improved on fx.
+    """
+    cand = None
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = 1e-12 * max(1.0, abs(x))
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, cand
+        p = q = r = 0.0
+        if abs(e) > tol1 and fw < math.inf and fv < math.inf:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r = e
+            e = d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if (x + d) - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < mid else -tol1
+        else:
+            e = (b - x) if x < mid else (a - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        cu = _candidates_at_x1(u, *coefs)
+        fu = math.inf if cu is None else cu[2]
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, cand = u, fu, cu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:

@@ -78,8 +78,8 @@ def test_mesh_independence_on_benchmarks(table1_params):
 def _scalar_grid_objective(xs, coefs):
     out = []
     for x1 in xs:
-        cands = bounds_mod._candidates_at_x1(float(x1), *coefs)
-        out.append(min(c[2] for c in cands) if cands else math.inf)
+        cand = bounds_mod._candidates_at_x1(float(x1), *coefs)
+        out.append(math.inf if cand is None else cand[2])
     return np.array(out)
 
 
@@ -118,6 +118,82 @@ def test_grid_objective_degenerate_branches(coefs, n_points):
     xs = np.linspace(-coefs[2], coefs[2], n_points)
     grid = bounds_mod._grid_objective(xs, *coefs)
     assert (grid == _scalar_grid_objective(xs, coefs)).all()
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_m_opt(params):
+    """Reference minimizer: the same grid, polished by golden section.
+
+    The golden-section polish minimize_reduced_determinant ran before
+    Brent's method, kept to check that Brent finds a minimum at least as
+    low.  Returns (m_opt, grid winner's objective).
+    """
+    coefs = bounds_mod._scan_coefficients(params)
+    kx = coefs[2]
+
+    def objective(x1):
+        cand = bounds_mod._candidates_at_x1(x1, *coefs)
+        return math.inf if cand is None else cand[2]
+
+    xs = np.linspace(-kx, kx, bounds_mod.SCAN_POINTS)
+    grid = bounds_mod._grid_objective(xs, *coefs)
+    i0 = int(np.argmin(grid))
+    obj0, x1_0 = float(grid[i0]), float(xs[i0])
+    step = xs[1] - xs[0]
+    a, b = max(x1_0 - step, -kx), min(x1_0 + step, kx)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(300):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = objective(d)
+        tiny_bracket = (b - a) <= 1e-13 * max(1.0, abs(a) + abs(b))
+        if abs(fc - fd) <= 1e-12 * max(1.0, abs(fc)) and tiny_bracket:
+            break
+    # an infeasible or worse polished point falls back to the grid winner
+    return min(objective(c if fc < fd else d), obj0), obj0
+
+
+def test_polish_matches_golden_section_reference(table1_params):
+    rng = np.random.default_rng(83)
+    states = table1_params + [random_entangled_params(rng) for _ in range(200)]
+    for p in states:
+        ref, obj0 = _golden_section_m_opt(p)
+        m_opt, cand = minimize_reduced_determinant(p)
+        assert m_opt <= ref * (1.0 + 1e-12)
+        assert m_opt <= obj0
+        res_x, res_p = cand.constraint_residuals(p)
+        assert abs(res_x) < 1e-10 and abs(res_p) < 1e-10
+
+
+def test_polish_evaluation_count(monkeypatch, table1_params):
+    # counts scalar evaluations, times nothing: golden section took a
+    # median of 55 per state
+    rng = np.random.default_rng(89)
+    states = table1_params + [random_entangled_params(rng) for _ in range(100)]
+    calls = [0]
+    scalar = bounds_mod._candidates_at_x1
+
+    def counted(*args):
+        calls[0] += 1
+        return scalar(*args)
+
+    monkeypatch.setattr(bounds_mod, "_candidates_at_x1", counted)
+    counts = []
+    for p in states:
+        calls[0] = 0
+        minimize_reduced_determinant(p)
+        counts.append(calls[0])
+    assert np.median(counts) <= 30
+    assert max(counts) <= 60
 
 
 def test_minimizer_empty_grid_is_infeasible():
