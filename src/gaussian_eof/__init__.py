@@ -9,10 +9,11 @@ Monte-Carlo decomposition check provide independent verification routes.
 The standard-form pipeline (errors, standard_form, standard_form_solver,
 epr_uncertainty, eof_core) needs only the standard library and is imported
 with the package, so eof() and eof_from_cm() run without numpy.  The
-numpy-backed modules (bounds, decomposition, fock_oracle, symplectic_core)
-and their names are imported on first access, through the module
-__getattr__ below; a resolved name is not stored here, so every lookup
-reaches the submodule's current binding.
+other modules and their names are imported on first access, through the
+module __getattr__ below: bounds, which needs only the standard library
+too, and the numpy-backed decomposition, fock_oracle and symplectic_core.
+A resolved name is not stored here, so every lookup reaches the
+submodule's current binding.
 """
 
 from importlib import import_module as _import_module

@@ -7,22 +7,21 @@ det(C_x - Gamma) = 0 and det(Gamma - C_p^{-1}) = 0, where C_x and C_p are
 the x and p blocks of the standard-form CM.  At fixed x1 the two touching
 conditions are rectangular hyperbolas in (x0+x3, x0-x3) whose intersection
 lies on a line, so the feasible points are roots of a single quadratic;
-the remaining one-dimensional problem in x1 is scanned in numpy, and the
-grid winner is polished by Brent's parabolic minimization.
+the remaining one-dimensional problem in x1 is scanned coarsely and
+polished by Brent's parabolic minimization, in scalar arithmetic.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
 from .standard_form import StandardFormParams, validate_standard_form
 
-SCAN_POINTS = 2048
+SCAN_POINTS = 16
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _PSD_SIDE_TOL = 1e-11
+_VACUUM_TOL = 1e-13   # det(C_x - C_p^-1) <= this * aD: nu_- = 1, take the double root
 SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
 
@@ -41,15 +40,12 @@ class GammaCandidate:
     def reduced_det(self) -> float:
         return 1.0 + self.x1 * self.x1 / self.det_gamma
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.x0 + self.x3, self.x1],
-                         [self.x1, self.x0 - self.x3]])
-
     def constraint_residuals(self, params: StandardFormParams) -> tuple[float, float]:
-        cx, cp = _xp_blocks(params)
-        g = self.matrix()
-        return (float(np.linalg.det(cx - g)),
-                float(np.linalg.det(g - np.linalg.inv(cp))))
+        """det(C_x - Gamma) and det(Gamma - C_p^{-1}), both 0 at a touching point."""
+        cx11, cx22, kx, p11, p22, p12 = _scan_coefficients(params)
+        u, v, x1 = self.x0 + self.x3, self.x0 - self.x3, self.x1
+        return ((cx11 - u) * (cx22 - v) - (kx - x1) ** 2,
+                (u - p11) * (v - p22) - (x1 - p12) ** 2)
 
 
 @dataclass(frozen=True)
@@ -72,42 +68,43 @@ class BoundsReport:
         }
 
 
-def _xp_blocks(params: StandardFormParams) -> tuple[np.ndarray, np.ndarray]:
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    cx = np.array([[n, kx], [kx, m]])
-    cp = np.array([[n, kp], [kp, m]])
-    return cx, cp
-
-
-def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12):
+def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12, double_root=False):
     """Lowest-objective feasible (u, v, objective) at fixed x1, u/v = x0 +/- x3.
 
     The two touching conditions are (cx11 - u)(cx22 - v) = (kx - x1)^2 and
     (u - p11)(v - p22) = (x1 - p12)^2; subtracting them shows all
-    intersections lie on a line, leaving a quadratic in u.  Returns None
-    where no root is feasible.
+    intersections lie on a line, leaving a quadratic a u^2 - b u + c = 0,
+    a = cx22 - p22.  With D = cx11 - p11 its discriminant factors as
+    det(C_x - C_p^{-1}) (aD - (kx + p12 - 2 x1)^2).  At nu_- = 1 the first
+    factor is rounding noise of either sign: C_x - C_p^{-1} has rank one,
+    the feasible Gammas form a segment, and double_root takes the double
+    root.  Returns None where no root is feasible.
     """
     dx = kx - x1
     dp = x1 - p12
     alpha2 = dx * dx
     beta2 = dp * dp
     a_coef = cx22 - p22
+    den = cx11 - p11
     b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
     c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
     if abs(a_coef) < 1e-14:
         roots = (c_coef / b_coef,) if abs(b_coef) > 1e-14 else ()
+    elif double_root:
+        roots = (0.5 * b_coef / a_coef,)
     else:
-        disc = b_coef * b_coef - 4.0 * a_coef * c_coef
+        # b^2 - 4ac, factored so that it does not cancel where the roots meet
+        ad = a_coef * den
+        disc = (ad - (kx - p12) ** 2) * (ad - (kx + p12 - 2.0 * x1) ** 2)
         if disc < 0.0:
             return None
         sq = math.sqrt(disc)
         q = 0.5 * (b_coef + sq) if b_coef >= 0.0 else 0.5 * (b_coef - sq)
         roots = (q / a_coef,) if q == 0.0 else (q / a_coef, c_coef / q)
     best = None
-    den = cx11 - p11
     for u in roots:
         if abs(den) > 1e-12:
-            v = (-(cx22 - p22) * u + (cx11 * cx22 - alpha2)
+            v = (-a_coef * u + (cx11 * cx22 - alpha2)
                  - (p11 * p22 - beta2)) / den
         else:
             du = cx11 - u
@@ -131,50 +128,6 @@ def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12):
     return best
 
 
-def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
-    """Objective of _candidates_at_x1 at every x1 in xs, inf where none.
-
-    The same closed form, thresholds and feasibility filters, evaluated over
-    the whole grid with the same operations in the same order, so each entry
-    equals the scalar minimum exactly.
-    """
-    dx = kx - xs
-    dp = xs - p12
-    alpha2 = dx * dx
-    beta2 = dp * dp
-    a_coef = cx22 - p22
-    b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
-    c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
-    best = np.full(xs.shape, math.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if abs(a_coef) < 1e-14:
-            roots = [(c_coef / b_coef, np.abs(b_coef) > 1e-14)]
-        else:
-            disc = b_coef * b_coef - 4.0 * a_coef * c_coef
-            real = ~(disc < 0.0)
-            sq = np.sqrt(disc)
-            q = np.where(b_coef >= 0.0, 0.5 * (b_coef + sq), 0.5 * (b_coef - sq))
-            roots = [(q / a_coef, real), (c_coef / q, real & (q != 0.0))]
-        den = cx11 - p11
-        for u, ok in roots:
-            if abs(den) > 1e-12:
-                v = (-a_coef * u + (cx11 * cx22 - alpha2)
-                     - (p11 * p22 - beta2)) / den
-            else:
-                du = cx11 - u
-                ok = ok & ~(np.abs(du) < 1e-14)
-                v = cx22 - alpha2 / du
-            det_g = u * v - xs * xs
-            rejected = ((u <= 0.0) | (v <= 0.0) | (det_g <= 0.0)
-                        | ((cx11 - u) < -_PSD_SIDE_TOL)
-                        | ((cx22 - v) < -_PSD_SIDE_TOL)
-                        | ((u - p11) < -_PSD_SIDE_TOL)
-                        | ((v - p22) < -_PSD_SIDE_TOL))
-            obj = 1.0 + xs * xs / det_g
-            best = np.where(ok & ~rejected, np.minimum(best, obj), best)
-    return best
-
-
 def _scan_coefficients(params: StandardFormParams) -> tuple[float, ...]:
     """(cx11, cx22, kx, p11, p22, p12): C_x entries and C_p^{-1} entries."""
     n, m, kx, kp = (float(params.n), float(params.m), float(params.kx),
@@ -183,48 +136,86 @@ def _scan_coefficients(params: StandardFormParams) -> tuple[float, ...]:
     return n, m, kx, m / det_p, n / det_p, -kp / det_p
 
 
+def _feasible_edge(coefs, out, inside, cand):
+    """Bisect from an infeasible x1 `out` to a feasible `inside` (whose
+    _candidates_at_x1 triple is cand) until they are 1e-12 relative apart;
+    returns the last feasible x1 and its triple."""
+    while abs(inside - out) > 1e-12 * max(1.0, abs(inside)):
+        mid = 0.5 * (out + inside)
+        c = _candidates_at_x1(mid, *coefs)
+        if c is None:
+            out = mid
+        else:
+            inside, cand = mid, c
+    return inside, cand
+
+
 def minimize_reduced_determinant(params: StandardFormParams,
                                  n_scan: int = SCAN_POINTS
                                  ) -> tuple[float, GammaCandidate]:
     """Minimize det of the reduced pure-state CM over the touching variety.
 
-    Scans x1 in [-kx, kx] in numpy, solving the touching conditions exactly
-    at every grid point at once, and polishes the winner within one grid
-    step on either side by Brent's localmin (successive parabolic
-    interpolation, golden-section steps where a parabola is refused) to
-    1e-12 relative in x1.  The result is never above the grid winner.
+    Scans the midpoints of n_scan equal cells of the x1 range (within
+    [-kx, kx]) where the touching quadratic has real roots, and polishes
+    the best by Brent's localmin (successive parabolic interpolation,
+    golden-section steps where a parabola is refused) to 1e-12 relative.
+    The neighbouring scan points close the bracket; past the first or last
+    point a range end closes it, and an infeasible neighbour is replaced by
+    the feasibility edge bisected between them.  At a range end the two
+    roots meet, so the objective moves as the square root of the distance
+    to it, and the minimum usually sits just inside: the polish runs in
+    s = sqrt(|x1 - origin|), origin being such an edge where the bracket
+    has one, in which the objective is smooth.  At nu_- = 1,
+    det(C_x - C_p^{-1}) = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p vanishes, to
+    rounding (_VACUUM_TOL aD) that standard_form_nu cannot resolve at large
+    n, and the quadratic's double root is taken.  The result is never
+    above the best scan point.
 
     Raises:
         Infeasible: no parameter point satisfies both constraints with a
             positive-definite Gamma (separable or invalid input).
     """
-    coefs = _scan_coefficients(params)
-    kx = coefs[2]
-    xs = np.linspace(-kx, kx, n_scan)
-    grid = _grid_objective(xs, *coefs)
-    if not np.any(grid < math.inf):
+    cx11, cx22, kx, p11, p22, p12 = coefs = _scan_coefficients(params)
+    ad = (cx22 - p22) * (cx11 - p11)
+    coefs += (ad - (kx - p12) ** 2 <= _VACUUM_TOL * ad,)
+    # real roots: |2 x1 - kx - p12| <= sqrt(aD), i.e. [p12, kx] at nu_- = 1
+    half, mid = 0.5 * math.sqrt(max(ad, 0.0)), 0.5 * (kx + p12)
+    lo, hi = max(-kx, mid - half), min(kx, mid + half)
+    step = (hi - lo) / max(n_scan, 1)
+    xs = [lo + (i + 0.5) * step for i in range(n_scan)]
+    scan = [_candidates_at_x1(x1, *coefs) for x1 in xs]
+    feasible = [i for i, cand in enumerate(scan) if cand is not None]
+    if not feasible:
         raise Infeasible("no feasible touching point; state separable or invalid")
-    i0 = int(np.argmin(grid))
-    obj0, x1_0 = float(grid[i0]), float(xs[i0])
-    step = float(xs[1] - xs[0]) if n_scan > 1 else kx
-    x1_star, cand = _brent_polish(coefs, max(x1_0 - step, -kx),
-                                  min(x1_0 + step, kx), x1_0, obj0)
-    if cand is None:
-        # no feasible point at or below obj0 was found: keep the grid point
-        x1_star, cand = x1_0, _candidates_at_x1(x1_0, *coefs)
-    u, v, obj = cand
-    m_opt = min(obj, obj0)
-    return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=float(x1_star),
-                                 x3=0.5 * (u - v))
+    i0 = min(feasible, key=lambda i: scan[i][2])
+    x, cand = xs[i0], scan[i0]
+    ends, edges = [lo, hi], [True, True]
+    for k, j in enumerate((i0 - 1, i0 + 1)):
+        if 0 <= j < n_scan and scan[j] is not None:
+            ends[k], edges[k] = xs[j], False
+        elif 0 <= j < n_scan:
+            ends[k], edge = _feasible_edge(coefs, xs[j], xs[i0], scan[i0])
+            if edge[2] < cand[2]:
+                x, cand = ends[k], edge
+    origin, far = ends[::-1] if edges[1] and not edges[0] else ends
+    sign = 1.0 if far >= origin else -1.0
+    s_star, polished = _brent_polish(
+        lambda s: _candidates_at_x1(origin + sign * s * s, *coefs), 0.0,
+        math.sqrt(abs(far - origin)), math.sqrt(abs(x - origin)), cand[2])
+    if polished is not None:
+        x, cand = origin + sign * s_star * s_star, polished
+    u, v, m_opt = cand
+    return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=x, x3=0.5 * (u - v))
 
 
-def _brent_polish(coefs, a, b, x, fx):
-    """Brent's localmin of the objective on [a, b] from x, whose value is fx.
+def _brent_polish(trial, a, b, x, fx):
+    """Brent's localmin of trial(s)[2] on [a, b] from x, whose value is fx.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    The objective is inf where no point is feasible, so a parabola is
-    fitted only through finite values.  Returns the final x and its
-    _candidates_at_x1 triple, or None when no trial point improved on fx.
+    trial returns a _candidates_at_x1 triple or None where no point is
+    feasible, whose objective counts as inf, so a parabola is fitted only
+    through finite values.  Returns the final point and its triple, or None
+    in place of the triple when no trial point improved on fx.
     """
     cand = None
     w = v = x
@@ -256,7 +247,7 @@ def _brent_polish(coefs, a, b, x, fx):
             e = (b - x) if x < mid else (a - x)
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        cu = _candidates_at_x1(u, *coefs)
+        cu = trial(u)
         fu = math.inf if cu is None else cu[2]
         if fu <= fx:
             if u < x:

@@ -6,7 +6,7 @@ verify-decomposition, validate.  Exit codes: 1 input validation failure,
 Output is byte-identical for identical inputs and seeds.
 
 numpy and the modules built on it are imported by the handlers that use
-them, so `eof` runs without loading numpy.
+them, so `eof`, `bounds` and `table1` run without loading numpy.
 """
 
 import argparse

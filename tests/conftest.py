@@ -53,6 +53,46 @@ def random_entangled_params(rng, n_lo=1.05, n_hi=5.0):
         return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
 
 
+def entangled_params_at(n, m, ratio, s):
+    """Canonical state (n, m, kx, kp = -ratio kx) between the boundaries, or None.
+
+    kx^2 is the smaller root of the quadratic
+    (nm - kx^2)(nm - ratio^2 kx^2) + 1 - n^2 - m^2 = 2 s ratio kx^2.  With
+    kp < 0 a state is bona fide for det + 1 >= n^2 + m^2 - 2 kx |kp| and
+    entangled for det + 1 < n^2 + m^2 + 2 kx |kp| (det = (nm - kx^2)
+    (nm - kp^2)), so s in (-1, 1) runs from the vacuum boundary nu_- = 1
+    (s -> -1) to the separable boundary (s -> 1).  Returns None where the
+    root is not below nm or the closed-form checks with their margins
+    refuse the state.
+    """
+    b = n * m * (1.0 + ratio * ratio) + 2.0 * s * ratio
+    c = (n * n - 1.0) * (m * m - 1.0)
+    disc = b * b - 4.0 * ratio * ratio * c
+    if disc < 0.0 or b <= 0.0:
+        return None
+    kx = math.sqrt(2.0 * c / (b + math.sqrt(disc)))
+    kp = -ratio * kx
+    if not (kx * kx < n * m and is_bona_fide_params(n, m, kx, kp, margin=1e-9)
+            and is_entangled_params(n, m, kx, kp)):
+        return None
+    return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
+
+
+def log_uniform_entangled_params(rng, n_lo=1.05, n_hi=1e3):
+    """Entangled state with n, m log-uniform on [n_lo, n_hi], drawn directly.
+
+    random_entangled_params rejects nearly every draw when n and m reach
+    1e3; this places the state between the boundaries instead
+    (entangled_params_at) and rejects only a few.
+    """
+    while True:
+        n, m = np.exp(rng.uniform(math.log(n_lo), math.log(n_hi), size=2))
+        p = entangled_params_at(float(n), float(m), rng.uniform(0.02, 1.0),
+                                rng.uniform(-1.0, 1.0))
+        if p is not None:
+            return p
+
+
 def random_symmetric_entangled_params(rng, n_lo=1.05, n_hi=5.0):
     while True:
         n = rng.uniform(n_lo, n_hi)

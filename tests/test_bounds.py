@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussian_eof import (Infeasible, StandardFormParams, bounds_report, eof,
-                          f_aux, gaussian_eof, giovannetti_family,
+                          f_aux, g_kappa, gaussian_eof, giovannetti_family,
                           minimize_reduced_determinant, oliveira_upper,
                           reduce_to_standard_params, rigolin_lower,
-                          squeezed_vacuum_cm, symmetric_eof)
+                          squeezed_vacuum_cm, standard_form_nu, symmetric_eof)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
+from gaussian_eof.bounds import _PSD_SIDE_TOL
 
-from conftest import (general_route_eof, random_entangled_params,
+from conftest import (entangled_params_at, general_route_eof,
+                      log_uniform_entangled_params, random_entangled_params,
                       random_symmetric_entangled_params)
 
 
@@ -54,6 +58,70 @@ def test_gaussian_eof_pure_states_equal_exact_eof():
     assert gaussian_eof(amplifier)[0] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("nbar", [0.0, 1.0, 2.0, 10.0, 50.0, 200.0])
+def test_gaussian_eof_amplifier_family_is_g_kappa(nbar):
+    # every member has nu_- = 1 to rounding; the optimum is the two-mode
+    # squeezed vacuum with cosh^2 r = kappa, whose EOF is g(kappa) = 2
+    p = giovannetti_family(2.0, nbar)[0]
+    assert standard_form_nu(p.n, p.m, p.kx, p.kp)[0] == pytest.approx(1.0, abs=1e-12)
+    assert gaussian_eof(p)[0] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [1.5, 3.0, 10.0])
+def test_gaussian_eof_amplifier_family_other_gains(kappa):
+    p = giovannetti_family(kappa, 7.0)[0]
+    assert gaussian_eof(p)[0] == pytest.approx(g_kappa(kappa), abs=1e-9)
+
+
+@pytest.mark.parametrize("nbar", [1.0, 10.0, 200.0])
+def test_gaussian_eof_monotone_under_added_noise(nbar):
+    # gamma + eps I is a local additive-noise channel applied to gamma, and
+    # the Gaussian EOF cannot rise under it; the vacuum-boundary value is
+    # the eps -> 0 limit of the values just inside
+    p = giovannetti_family(2.0, nbar)[0]
+    at_boundary, _ = gaussian_eof(p)
+    values = [gaussian_eof(StandardFormParams(p.n + eps, p.m + eps, p.kx, p.kp))[0]
+              for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
+    assert all(v <= at_boundary + 1e-9 for v in values)
+    assert all(later >= earlier for earlier, later in zip(values, values[1:]))
+
+
+def test_gaussian_eof_matches_grid_oracle():
+    # 2000 states with n, m log-uniform up to 1e3: the coarse scan, edge
+    # bisection and polish never land above the 2048-point grid, and raise
+    # Infeasible only where the grid finds no feasible point either
+    rng = np.random.default_rng(97)
+    worst = -math.inf
+    for _ in range(2000):
+        p = log_uniform_entangled_params(rng)
+        grid = _grid_m_opt(p)
+        try:
+            val, _ = gaussian_eof(p)
+        except Infeasible:
+            assert grid == math.inf
+            continue
+        assert grid < math.inf
+        worst = max(worst, val - f_aux(math.sqrt(grid) - math.sqrt(grid - 1.0)))
+    assert worst <= 1e-11
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_n=st.floats(math.log(1.0001), math.log(1e3)),
+       log_m=st.floats(math.log(1.0001), math.log(1e3)),
+       ratio=st.floats(0.02, 1.0), s=st.floats(-1.0, 1.0),
+       log_eps=st.floats(-12.0, 0.0))
+def test_gaussian_eof_properties(log_n, log_m, ratio, s, log_eps):
+    p = entangled_params_at(math.exp(log_n), math.exp(log_m), ratio, s)
+    assume(p is not None)
+    val, _ = gaussian_eof(p)
+    swapped, _ = gaussian_eof(StandardFormParams(p.m, p.n, p.kx, p.kp))
+    assert abs(val - swapped) <= 1e-9
+    assert eof(p).eof <= val + 1e-9
+    eps = 10.0 ** log_eps
+    noisy, _ = gaussian_eof(StandardFormParams(p.n + eps, p.m + eps, p.kx, p.kp))
+    assert noisy <= val + 1e-9
+
+
 def test_minimizer_constraint_residuals():
     for p in (StandardFormParams(2.0, 1.5, 1.0, -1.0),
               StandardFormParams(3.0, 2.0, 1.8, -1.2),
@@ -75,6 +143,61 @@ def test_mesh_independence_on_benchmarks(table1_params):
         assert abs(ec - ef) < 1e-9
 
 
+GRID_POINTS = 2048   # the test-only grid oracle's resolution in x1
+
+
+def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
+    """Objective of _candidates_at_x1 at every x1 in xs, inf where none.
+
+    The same closed form, thresholds and feasibility filters, evaluated over
+    the whole grid with the same operations in the same order, so each entry
+    equals the scalar minimum exactly.
+    """
+    dx = kx - xs
+    dp = xs - p12
+    alpha2 = dx * dx
+    beta2 = dp * dp
+    a_coef = cx22 - p22
+    den = cx11 - p11
+    b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
+    c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
+    best = np.full(xs.shape, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(a_coef) < 1e-14:
+            roots = [(c_coef / b_coef, np.abs(b_coef) > 1e-14)]
+        else:
+            ad = a_coef * den
+            disc = (ad - (kx - p12) ** 2) * (ad - (kx + p12 - 2.0 * xs) ** 2)
+            real = ~(disc < 0.0)
+            sq = np.sqrt(disc)
+            q = np.where(b_coef >= 0.0, 0.5 * (b_coef + sq), 0.5 * (b_coef - sq))
+            roots = [(q / a_coef, real), (c_coef / q, real & (q != 0.0))]
+        for u, ok in roots:
+            if abs(den) > 1e-12:
+                v = (-a_coef * u + (cx11 * cx22 - alpha2)
+                     - (p11 * p22 - beta2)) / den
+            else:
+                du = cx11 - u
+                ok = ok & ~(np.abs(du) < 1e-14)
+                v = cx22 - alpha2 / du
+            det_g = u * v - xs * xs
+            rejected = ((u <= 0.0) | (v <= 0.0) | (det_g <= 0.0)
+                        | ((cx11 - u) < -_PSD_SIDE_TOL)
+                        | ((cx22 - v) < -_PSD_SIDE_TOL)
+                        | ((u - p11) < -_PSD_SIDE_TOL)
+                        | ((v - p22) < -_PSD_SIDE_TOL))
+            obj = 1.0 + xs * xs / det_g
+            best = np.where(ok & ~rejected, np.minimum(best, obj), best)
+    return best
+
+
+def _grid_m_opt(params):
+    """The grid oracle's winner: min of _grid_objective over GRID_POINTS x1."""
+    coefs = bounds_mod._scan_coefficients(params)
+    xs = np.linspace(-coefs[2], coefs[2], GRID_POINTS)
+    return float(_grid_objective(xs, *coefs).min())
+
+
 def _scalar_grid_objective(xs, coefs):
     out = []
     for x1 in xs:
@@ -88,8 +211,8 @@ def test_grid_objective_equals_scalar_candidates(table1_params):
     states = table1_params + [random_entangled_params(rng) for _ in range(50)]
     for p in states:
         coefs = bounds_mod._scan_coefficients(p)
-        xs = np.linspace(-coefs[2], coefs[2], bounds_mod.SCAN_POINTS)
-        grid = bounds_mod._grid_objective(xs, *coefs)
+        xs = np.linspace(-coefs[2], coefs[2], GRID_POINTS)
+        grid = _grid_objective(xs, *coefs)
         assert (grid == _scalar_grid_objective(xs, coefs)).all()
         assert np.isfinite(grid).any()
 
@@ -116,19 +239,30 @@ def test_grid_objective_degenerate_branches(coefs, n_points):
     # no random state reaches these branches, so the coefficients are
     # given directly
     xs = np.linspace(-coefs[2], coefs[2], n_points)
-    grid = bounds_mod._grid_objective(xs, *coefs)
+    grid = _grid_objective(xs, *coefs)
     assert (grid == _scalar_grid_objective(xs, coefs)).all()
+
+
+def test_feasible_edge_reaches_the_discriminant_root():
+    # real roots need (aD - (kx + p12 - 2 x1)^2) >= 0: for these
+    # coefficients the feasible x1 range starts at (1.5 - sqrt(0.875)) / 2
+    coefs = (2.0, 1.0, 1.0, 0.25, 0.5, 0.5, False)
+    inside = bounds_mod._candidates_at_x1(0.5, *coefs)
+    assert bounds_mod._candidates_at_x1(0.0, *coefs) is None and inside is not None
+    edge, cand = bounds_mod._feasible_edge(coefs, 0.0, 0.5, inside)
+    assert edge == pytest.approx(0.5 * (1.5 - math.sqrt(0.875)), abs=1e-12)
+    assert cand == bounds_mod._candidates_at_x1(edge, *coefs)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_section_m_opt(params):
-    """Reference minimizer: the same grid, polished by golden section.
+    """Reference minimizer: the grid oracle, polished by golden section.
 
-    The golden-section polish minimize_reduced_determinant ran before
-    Brent's method, kept to check that Brent finds a minimum at least as
-    low.  Returns (m_opt, grid winner's objective).
+    The 2048-point grid and golden-section polish minimize_reduced_determinant
+    ran before its coarse scan and Brent's method, kept to check that they
+    find a minimum at least as low.  Returns (m_opt, grid winner's objective).
     """
     coefs = bounds_mod._scan_coefficients(params)
     kx = coefs[2]
@@ -137,8 +271,8 @@ def _golden_section_m_opt(params):
         cand = bounds_mod._candidates_at_x1(x1, *coefs)
         return math.inf if cand is None else cand[2]
 
-    xs = np.linspace(-kx, kx, bounds_mod.SCAN_POINTS)
-    grid = bounds_mod._grid_objective(xs, *coefs)
+    xs = np.linspace(-kx, kx, GRID_POINTS)
+    grid = _grid_objective(xs, *coefs)
     i0 = int(np.argmin(grid))
     obj0, x1_0 = float(grid[i0]), float(xs[i0])
     step = xs[1] - xs[0]
@@ -175,25 +309,45 @@ def test_polish_matches_golden_section_reference(table1_params):
 
 
 def test_polish_evaluation_count(monkeypatch, table1_params):
-    # counts scalar evaluations, times nothing: golden section took a
-    # median of 55 per state
+    # counts scalar evaluations, times nothing, in three phases: the scan
+    # (SCAN_POINTS), the bisection of a feasibility edge, and the Brent
+    # polish; golden section took a median of 55 polish evaluations
     rng = np.random.default_rng(89)
     states = table1_params + [random_entangled_params(rng) for _ in range(100)]
-    calls = [0]
+    phase = ["scan"]
+    calls = {"scan": 0, "edge": 0, "polish": 0}
     scalar = bounds_mod._candidates_at_x1
 
     def counted(*args):
-        calls[0] += 1
+        calls[phase[0]] += 1
         return scalar(*args)
 
+    def in_phase(name, fn):
+        def run(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = "scan"
+        return run
+
     monkeypatch.setattr(bounds_mod, "_candidates_at_x1", counted)
-    counts = []
+    monkeypatch.setattr(bounds_mod, "_feasible_edge",
+                        in_phase("edge", bounds_mod._feasible_edge))
+    monkeypatch.setattr(bounds_mod, "_brent_polish",
+                        in_phase("polish", bounds_mod._brent_polish))
+    counts = {name: [] for name in calls}
     for p in states:
-        calls[0] = 0
+        for name in calls:
+            calls[name] = 0
         minimize_reduced_determinant(p)
-        counts.append(calls[0])
-    assert np.median(counts) <= 30
-    assert max(counts) <= 60
+        for name, n in calls.items():
+            counts[name].append(n)
+    assert set(counts["scan"]) == {bounds_mod.SCAN_POINTS}
+    # each bisected edge is narrowed from one scan step to 1e-12 relative
+    assert max(counts["edge"]) <= 2 * 50
+    assert np.median(counts["polish"]) <= 30
+    assert max(counts["polish"]) <= 60
 
 
 def test_minimizer_empty_grid_is_infeasible():

@@ -231,8 +231,9 @@ def _fresh_python(code, *args):
 
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency and sampling runs on one thread; the
-    # standard-form path (the import, eof --params and eof --input on a
-    # gamma matrix) loads neither numpy nor scipy nor concurrent.futures
+    # standard-form path (the import, eof and bounds with --params or with
+    # --input on a gamma matrix, and table1 in every format) loads neither
+    # numpy nor scipy nor concurrent.futures
     path = tmp_path / "state.json"
     gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
     path.write_text(json.dumps({"gamma": gamma.tolist()}))
@@ -244,13 +245,21 @@ def test_import_loads_no_scipy(tmp_path):
             "import gaussian_eof\n"
             "loaded = [heavy()]\n"
             "from gaussian_eof.cli import main\n"
-            "codes = [main(['eof', '--params', '2', '1.5', '1', '-1'])]\n"
-            "loaded.append(heavy())\n"
-            "codes.append(main(['eof', '--input', sys.argv[1], '--format', 'json']))\n"
-            "loaded.append(heavy())\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    codes.append(main(argv))\n"
+            "    loaded.append(heavy())\n"
             "print(json.dumps([codes, loaded]))\n")
-    out = _fresh_python(code, str(path)).strip().splitlines()[-1]
-    assert json.loads(out) == [[0, 0], [[], [], []]]
+    params = ["--params", "2", "1.5", "1", "-1"]
+    commands = [["eof", *params],
+                ["eof", "--input", str(path), "--format", "json"],
+                ["bounds", *params],
+                ["bounds", "--input", str(path), "--format", "json"],
+                ["table1", "--format", "json"],
+                ["table1", "--format", "csv"],
+                ["table1", "--format", "text"]]
+    out = _fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
+    assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
 
 
 _SUBMODULES = ("bounds", "decomposition", "eof_core", "epr_uncertainty",
