@@ -8,10 +8,11 @@ Monte-Carlo decomposition check provide independent verification routes.
 
 The standard-form pipeline (errors, standard_form, standard_form_solver,
 epr_uncertainty, eof_core) needs only the standard library and is imported
-with the package, so eof() and eof_from_cm() run without numpy.  The
-other modules and their names are imported on first access, through the
-module __getattr__ below: bounds, which needs only the standard library
-too, and the numpy-backed decomposition, fock_oracle and symplectic_core.
+with the package, so eof(), eof_from_cm() and validate_cm() run without
+numpy.  The other modules and their names are imported on first access,
+through the module __getattr__ below: bounds, which needs only the
+standard library too, and the numpy-backed decomposition, fock_oracle and
+symplectic_core.
 A resolved name is not stored here, so every lookup reaches the
 submodule's current binding.
 """
@@ -28,7 +29,7 @@ from .errors import (Degenerate, DomainError, GaussianEofError, Infeasible,
                      SandwichViolation, TruncationTooCoarse)
 from .standard_form import (StandardFormParams, ValidityReport,
                             reduce_to_standard_params, standard_form_nu,
-                            validate_standard_form)
+                            validate_cm, validate_standard_form)
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
 
@@ -47,8 +48,7 @@ _LAZY_MODULES = {
                     "schmidt_coeffs_squeezed"),
     "symplectic_core": ("OMEGA", "local_rotation", "local_squeeze",
                         "random_local_symplectic", "squeezed_vacuum_cm",
-                        "standard_form_cm", "symplectic_eigenvalues",
-                        "validate_cm"),
+                        "standard_form_cm"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items()
          for name in names}
@@ -84,6 +84,6 @@ __all__ = [
     "reduce_to_standard_params", "rigolin_lower", "sample_displacements",
     "schmidt_coeffs_squeezed", "solve_squeezings", "squeezed_thermal_eof",
     "squeezed_vacuum_cm", "standard_form_cm", "standard_form_nu",
-    "symmetric_eof", "symplectic_eigenvalues", "uncertainty_floor",
+    "symmetric_eof", "uncertainty_floor",
     "validate_cm", "validate_standard_form", "verify_reconstruction",
 ]

@@ -6,7 +6,8 @@ verify-decomposition, validate.  Exit codes: 1 input validation failure,
 Output is byte-identical for identical inputs and seeds.
 
 numpy and the modules built on it are imported by the handlers that use
-them, so `eof`, `bounds` and `table1` run without loading numpy.
+them, so `eof`, `bounds`, `table1` and `validate` run without loading
+numpy.
 """
 
 import argparse
@@ -17,7 +18,8 @@ from .eof_core import eof, g_kappa, giovannetti_family
 from .epr_uncertainty import delta_pure_squeezed
 from .errors import (GaussianEofError, INPUT_ERRORS, NUMERICAL_ERRORS,
                      VERIFICATION_ERRORS, DomainError)
-from .standard_form import StandardFormParams, params_from_json_dict
+from .standard_form import (StandardFormParams, params_from_json_dict,
+                            validate_cm)
 
 _EXIT_INPUT = 1
 _EXIT_NUMERICAL = 2
@@ -269,8 +271,6 @@ def _cmd_verify_decomposition(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .symplectic_core import validate_cm
-
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if "gamma" not in payload:

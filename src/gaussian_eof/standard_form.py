@@ -13,9 +13,12 @@ with diagonal blocks n*I, m*I and off-diagonal block diag(kx, kp); the
 one-mode squeezing factors (r1, r2), when present, place the CM in the
 fully reduced form used by the EPR-uncertainty pipeline.
 
-This module imports only the standard library, so the eof() pipeline runs
-without numpy; symplectic_core holds the matrix constructors and the 4x4
-eigen-solve, and re-exports every name defined here.
+Raw matrices are validated and reduced here too, in closed form: one
+signed standard form serves both validate_cm and reduce_to_standard_params.
+
+This module imports only the standard library, so the eof() pipeline and
+the CLI validate report run without numpy; symplectic_core holds the
+matrix constructors and re-exports every name defined here.
 """
 
 import math
@@ -95,13 +98,12 @@ def standard_form_nu(n: float, m: float, kx: float,
 
 
 def validate_standard_form(params: StandardFormParams) -> ValidityReport:
-    """validate_cm of the plain standard form (n, m, kx, kp), in closed form.
+    """Validity of the plain standard form (n, m, kx, kp), in closed form.
 
-    The same tests and tolerances as validate_cm(standard_form_cm(params,
-    1, 1)), without the eigen-solve: positive iff n > 0, nm > kx^2 and
-    nm > kp^2; bona fide iff also nu_- >= 1 - TOL_PSD; pure iff both
-    symplectic eigenvalues lie within TOL_PSD of 1.  A matrix that is not
-    positive has no symplectic eigenvalues and reports (nan, nan).
+    Positive iff n > 0, nm > kx^2 and nm > kp^2; bona fide iff also
+    nu_- >= 1 - TOL_PSD; pure iff both symplectic eigenvalues lie within
+    TOL_PSD of 1.  A matrix that is not positive has no symplectic
+    eigenvalues and reports (nan, nan).
 
     Raises:
         NonFiniteEntry: if any parameter is NaN or infinite.
@@ -158,40 +160,24 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
     return upper, skew <= TOL_SYM * max(1.0, max(map(abs, flat)))
 
 
-def reduce_to_standard_params(gamma) -> StandardFormParams:
-    """Validate a raw CM and reduce it to its standard form (n, m, kx, kp).
+def _signed_form(a0, a1, c00, c01, a2, c10, c11, b0, b1, b2):
+    """The signed standard form (n, m, q + r, q - r) of the _raw_cm upper
+    triangle; None when A or B is not positive, DomainError where the
+    normalisation underflows.
 
-    gamma is a 4x4 array or nested sequence of numbers.  Performs the local
-    normalisation of Duan et al. (PRL 84, 2722 (2000)) in
-    closed form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2}
-    turn the diagonal blocks into n I and m I, with n = sqrt(det A) and
-    m = sqrt(det B), and the correlation block into
-    C' = sqrt(nm) A^{-1/2} C B^{-1/2}.  A local rotation on each side then
-    diagonalises C', whose singular values are kx >= |kp|.  The result is
-    canonicalized to kp <= 0; for classically-correlated inputs (det C > 0)
-    the sign flip on kp amounts to a partial transposition, which leaves
-    every entanglement quantity unchanged because such states are separable
-    whenever they are bona fide.
-
-    Validation runs on the same quantities, without an eigen-solve: the
-    matrix must be symmetric (as in validate_cm), A and B positive
-    (a0 > 0, det A > 0, b0 > 0, det B > 0), and the signed standard form
-    (n, m, kx, kp), whose kp has the sign of det C, must pass
-    validate_standard_form (nm > kx^2 and nm > kp^2, i.e. gamma > 0, and
-    nu_- >= 1 - TOL_PSD).
-
-    Raises:
-        DomainError: if gamma is not 4x4.
-        NonFiniteEntry: if any entry is NaN or infinite.
-        InvalidState: if gamma is not a bona fide CM.
+    The local normalisation of Duan et al. (PRL 84, 2722 (2000)) in closed
+    form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2} turn
+    the diagonal blocks into n I and m I, n = sqrt(det A), m = sqrt(det B),
+    and C into C' = sqrt(nm) A^{-1/2} C B^{-1/2}, whose singular values are
+    q + r and |q - r|.  kp = q - r has the sign of det C, so the form keeps
+    det A, det B, det C and det gamma, and with them the symplectic
+    spectrum (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)):
+    it is positive, bona fide or pure exactly when the matrix is.
     """
-    (a0, a1, c00, c01, a2, c10, c11, b0, b1, b2), sym = _raw_cm(gamma)
-    if not sym:
-        raise InvalidState("not a bona fide CM: the matrix is not symmetric")
     det_a = a0 * a2 - a1 * a1
     det_b = b0 * b2 - b1 * b1
     if not (a0 > 0.0 and det_a > 0.0 and b0 > 0.0 and det_b > 0.0):
-        raise InvalidState("not a bona fide CM: the matrix is not positive")
+        return None
     n = math.sqrt(det_a)
     m = math.sqrt(det_b)
     # A^{-1/2} = adj(A + nI) / (n sqrt(tr A + 2n)), likewise B^{-1/2}; the
@@ -200,22 +186,73 @@ def reduce_to_standard_params(gamma) -> StandardFormParams:
     x10, x11 = (a0 + n) * c10 - a1 * c00, (a0 + n) * c11 - a1 * c01
     y00, y01 = x00 * (b2 + m) - x01 * b1, x01 * (b0 + m) - x00 * b1
     y10, y11 = x10 * (b2 + m) - x11 * b1, x11 * (b0 + m) - x10 * b1
-    scale = 0.5 / math.sqrt(n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m))
-    # C' = 2 scale y, whose singular values are q + r and |q - r|; its
-    # determinant q^2 - r^2 has the sign of det C
+    norm = n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m)
+    if norm == 0.0:   # underflow, at entries of about 1e-77 and below
+        raise DomainError("covariance matrix entries too small to reduce")
+    scale = 0.5 / math.sqrt(norm)
+    # C' = 2 scale y, whose determinant q^2 - r^2 has the sign of det C
     q = scale * math.hypot(y00 + y11, y10 - y01)
     r = scale * math.hypot(y00 - y11, y01 + y10)
-    kx = q + r
-    report = validate_standard_form(StandardFormParams(n, m, kx, q - r))
-    if not report.is_positive:
+    return StandardFormParams(n, m, q + r, q - r)
+
+
+def validate_cm(gamma) -> ValidityReport:
+    """Check symmetry, positivity and the uncertainty relation for a raw CM.
+
+    gamma is a 4x4 array or nested sequence of numbers.  Bona fide means
+    gamma + i*Omega >= 0, equivalently both symplectic eigenvalues
+    >= 1 - TOL_PSD; states on the boundary within tolerance are accepted
+    and flagged pure.  The report is validate_standard_form of the signed
+    standard form of (gamma + gamma^T)/2, in closed form; bona fide and
+    pure also require gamma to be symmetric.  A matrix that is not
+    positive reports (nan, nan).
+
+    Raises:
+        DomainError: if gamma is not a 4x4 matrix of numbers, or its
+            entries are too small to reduce.
+        NonFiniteEntry: if any entry is NaN or infinite.
+    """
+    upper, sym = _raw_cm(gamma)
+    form = _signed_form(*upper)
+    if form is None:
+        return ValidityReport(sym, False, (math.nan, math.nan), False, False)
+    report = validate_standard_form(form)
+    if sym:
+        return report
+    return replace(report, is_symmetric_matrix=False, is_bona_fide=False,
+                   is_pure=False)
+
+
+def reduce_to_standard_params(gamma) -> StandardFormParams:
+    """Validate a raw CM and reduce it to its standard form (n, m, kx, kp).
+
+    gamma and its validation are validate_cm's; the result is the signed
+    standard form (_signed_form), kx >= |kp|, canonicalized to kp <= 0.
+    For classically-correlated inputs (det C > 0) the sign flip on kp
+    amounts to a partial transposition, which leaves every entanglement
+    quantity unchanged because such states are separable whenever they
+    are bona fide.
+
+    Raises:
+        DomainError: as validate_cm.
+        NonFiniteEntry: if any entry is NaN or infinite.
+        InvalidState: if gamma is not a bona fide CM; the message names the
+            test that failed (symmetric, positive, symplectic eigenvalues).
+    """
+    upper, sym = _raw_cm(gamma)
+    if not sym:
+        raise InvalidState("not a bona fide CM: the matrix is not symmetric")
+    form = _signed_form(*upper)
+    report = None if form is None else validate_standard_form(form)
+    if report is None or not report.is_positive:
         raise InvalidState("not a bona fide CM: the matrix is not positive")
     if not report.is_bona_fide:
         raise InvalidState(
             f"not a bona fide CM: closed-form symplectic eigenvalues "
             f"{report.symplectic_eigenvalues}")
-    kp = -abs(q - r)
+    n, m, kx, kp = form.n, form.m, form.kx, -abs(form.kp)
     if kx < TOL_PRODUCT and abs(kp) < TOL_PRODUCT:
-        return StandardFormParams(n=n, m=m, kx=0.0, kp=0.0)
+        kx = kp = 0.0
     return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
 
 

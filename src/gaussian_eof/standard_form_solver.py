@@ -172,26 +172,28 @@ def critical_params(params: StandardFormParams,
 
     a0^2 is the square root of (m r2 - 1)/(n r1 - 1); the ratio constraint
     makes the r -> 1/r counterpart equal, which is verified here as a
-    consistency check of the solve.
+    consistency check of the solve.  The check holds the ratio residual to
+    1e-13 of the sum of its terms, its rounding error: next to the vacuum
+    m/r2 - 1 and n/r1 - 1 are differences of nearly equal numbers, and
+    their quotient has no digits to compare.
 
     Raises:
         Degenerate: pure-state limit n r1 - 1 <= 1e-12 (a0 indeterminate;
             callers fall back to a0 = 1), or a0^2 so far from 1 that the
             floor b0 rounds to 1.
+        InvalidState: if (r1, r2) does not satisfy the ratio constraint.
     """
-    n, m = params.n, params.m
-    den = n * sol.r1 - 1.0
-    num = m * sol.r2 - 1.0
+    n, m, r1, r2 = params.n, params.m, sol.r1, sol.r2
+    den = n * r1 - 1.0
+    num = m * r2 - 1.0
     if den <= 1e-12 or num <= 1e-12:
         raise Degenerate("pure-state limit: critical parameter indeterminate")
     a0sq = math.sqrt(num / den)
-    den_alt = n / sol.r1 - 1.0
-    num_alt = m / sol.r2 - 1.0
-    if abs(den_alt) > 1e-12 and num_alt / den_alt > 0.0:
-        alt = math.sqrt(num_alt / den_alt)
-        if abs(alt - a0sq) > 1e-9 * max(1.0, a0sq):
-            raise InvalidState(
-                f"critical-parameter consistency check failed: {a0sq} vs {alt}")
+    residual = _ratio_residual(params, r1, r2)
+    terms = (n * r1 + 1.0) * (m / r2 + 1.0) + (n / r1 + 1.0) * (m * r2 + 1.0)
+    if abs(residual) > 1e-13 * terms:
+        raise InvalidState(f"critical-parameter consistency check failed: "
+                           f"ratio residual {residual} against terms {terms}")
     b0 = math.sqrt(max(1.0 - 4.0 / (a0sq + 1.0 / a0sq) ** 2, 0.0))
     if b0 >= 1.0:
         raise Degenerate(

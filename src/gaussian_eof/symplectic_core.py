@@ -1,11 +1,11 @@
-"""Matrix layer: the symplectic form, CM constructors, the 4x4 eigen-solve.
+"""Matrix layer: the symplectic form and the CM constructors, in numpy.
 
-The conventions, StandardFormParams, the closed-form validation and the
+The conventions, StandardFormParams, the closed-form validation of
+standard forms and raw CMs (validate_standard_form, validate_cm) and the
 reduction of raw CMs live in standard_form, which needs no numpy; they are
 re-exported here, so every symplectic_core name keeps working.  This module
-imports numpy and serves the matrix-facing parts of the package: the CLI
-validate report, the bounds, the decomposition and the tests, which hold
-the closed forms to the eigen-solve of validate_cm.
+serves the matrix-facing parts of the package: the decomposition, the
+examples and the tests, which build CMs in local frames.
 """
 
 import numpy as np
@@ -13,53 +13,12 @@ import numpy as np
 from .errors import DomainError
 # the standard-form layer, re-exported
 from .standard_form import (TOL_PRODUCT, TOL_PSD, TOL_SYM, StandardFormParams,
-                            ValidityReport, _raw_cm, params_from_json_dict,
+                            ValidityReport, params_from_json_dict,
                             reduce_to_standard_params, standard_form_nu,
-                            validate_standard_form)
+                            validate_cm, validate_standard_form)
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
-
-
-def symplectic_eigenvalues(gamma: np.ndarray) -> tuple[float, float]:
-    """The two symplectic eigenvalues of a symmetric 4x4 CM.
-
-    Computed from the spectrum of -(Omega gamma)^2, whose eigenvalues are the
-    squared symplectic eigenvalues, each doubly degenerate.  This keeps the
-    computation in real arithmetic.
-    """
-    og = OMEGA @ gamma
-    m2 = -og @ og
-    ev = np.linalg.eigvals(m2)
-    ev = np.sort(np.abs(ev.real))
-    nu_minus = float(np.sqrt(max(0.5 * (ev[0] + ev[1]), 0.0)))
-    nu_plus = float(np.sqrt(max(0.5 * (ev[2] + ev[3]), 0.0)))
-    return nu_minus, nu_plus
-
-
-def validate_cm(gamma: np.ndarray) -> ValidityReport:
-    """Check symmetry, positivity and the uncertainty relation for a CM.
-
-    Bona fide means gamma + i*Omega >= 0, equivalently both symplectic
-    eigenvalues >= 1 - TOL_PSD.  States on the boundary within tolerance are
-    accepted and flagged pure.  The symplectic eigenvalues come from the
-    4x4 eigen-solve of -(Omega gamma)^2; this is the CLI validate report and
-    the reference the closed forms are tested against.  The pipeline itself
-    validates in closed form: validate_standard_form for standard forms,
-    reduce_to_standard_params for raw matrices.
-
-    Raises:
-        DomainError: if gamma is not 4x4.
-        NonFiniteEntry: if any entry is NaN or infinite.
-    """
-    (a0, a1, c00, c01, a2, c10, c11, b0, b1, b2), sym = _raw_cm(gamma)
-    gs = np.array([[a0, a1, c00, c01], [a1, a2, c10, c11],
-                   [c00, c10, b0, b1], [c01, c11, b1, b2]])
-    positive = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
-    nu = symplectic_eigenvalues(gs)
-    bona_fide = sym and positive and nu[0] >= 1.0 - TOL_PSD
-    pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
-    return ValidityReport(sym, positive, nu, bona_fide, pure)
 
 
 def squeezed_vacuum_cm(r: float) -> np.ndarray:

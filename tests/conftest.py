@@ -2,9 +2,11 @@
 
 The entanglement oracle used for generating test states is the partial
 transpose criterion evaluated on the closed-form two-mode symplectic
-eigenvalues (``standard_form_nu``).  eof() validates states with the same
-closed form, so test_symplectic_core.py holds it to a 50-digit evaluation
-of the invariants and to the matrix eigen-solve of ``validate_cm``.
+eigenvalues (``standard_form_nu``).  eof() and validate_cm() validate
+states with the same closed form, so test_symplectic_core.py holds it to a
+50-digit evaluation of the invariants and to the 4x4 matrix eigen-solve
+below (``symplectic_eigenvalues``, ``eigen_solve_report``), an independent
+oracle that the package itself does not use.
 """
 
 import math
@@ -12,11 +14,43 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import (CriticalParams, Degenerate, StandardFormParams,
-                          critical_params, delta0, f_aux,
-                          random_local_symplectic, solve_squeezings,
-                          standard_form_nu)
+from gaussian_eof import (OMEGA, CriticalParams, Degenerate,
+                          StandardFormParams, ValidityReport, critical_params,
+                          delta0, f_aux, random_local_symplectic,
+                          solve_squeezings, standard_form_nu)
 from gaussian_eof.cli import load_table1_reference
+from gaussian_eof.standard_form import TOL_PSD, _raw_cm
+
+
+def symplectic_eigenvalues(gamma):
+    """The two symplectic eigenvalues of a symmetric 4x4 CM, by eigen-solve.
+
+    Computed from the spectrum of -(Omega gamma)^2, whose eigenvalues are the
+    squared symplectic eigenvalues, each doubly degenerate.  This keeps the
+    computation in real arithmetic.  Its error on nu_- grows as
+    eps nu_+^2.
+    """
+    og = OMEGA @ np.asarray(gamma, dtype=float)
+    ev = np.sort(np.abs(np.linalg.eigvals(-og @ og).real))
+    return (float(np.sqrt(max(0.5 * (ev[0] + ev[1]), 0.0))),
+            float(np.sqrt(max(0.5 * (ev[2] + ev[3]), 0.0))))
+
+
+def eigen_solve_report(gamma):
+    """validate_cm's report computed by 4x4 eigen-solves, the oracle.
+
+    The symmetry flag comes from _raw_cm; positivity from the spectrum of
+    the symmetric part, and the symplectic eigenvalues from
+    symplectic_eigenvalues of it, with validate_cm's tolerances.
+    """
+    (a0, a1, c00, c01, a2, c10, c11, b0, b1, b2), sym = _raw_cm(gamma)
+    gs = np.array([[a0, a1, c00, c01], [a1, a2, c10, c11],
+                   [c00, c10, b0, b1], [c01, c11, b1, b2]])
+    positive = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
+    nu = symplectic_eigenvalues(gs)
+    bona_fide = sym and positive and nu[0] >= 1.0 - TOL_PSD
+    pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
+    return ValidityReport(sym, positive, nu, bona_fide, pure)
 
 
 def analytic_nu_minus(n, m, kx, kp):

@@ -127,6 +127,14 @@ def test_validate_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", "--input", str(bad))
     assert code == 0
     assert json.loads(out)["is_bona_fide"] is False
+    # a matrix that is not positive has no symplectic eigenvalues
+    neg = tmp_path / "neg.json"
+    neg.write_text(json.dumps({"gamma": (-np.eye(4)).tolist()}))
+    code, out, _ = run_cli(capsys, "validate", "--input", str(neg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_positive"] is False and payload["is_bona_fide"] is False
+    assert all(math.isnan(v) for v in payload["symplectic_eigenvalues"])
 
 
 def test_validate_rejects_malformed_file(tmp_path, capsys):
@@ -232,8 +240,8 @@ def _fresh_python(code, *args):
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency and sampling runs on one thread; the
     # standard-form path (the import, eof and bounds with --params or with
-    # --input on a gamma matrix, and table1 in every format) loads neither
-    # numpy nor scipy nor concurrent.futures
+    # --input on a gamma matrix, table1 and validate in every format) loads
+    # neither numpy nor scipy nor concurrent.futures
     path = tmp_path / "state.json"
     gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
     path.write_text(json.dumps({"gamma": gamma.tolist()}))
@@ -257,7 +265,10 @@ def test_import_loads_no_scipy(tmp_path):
                 ["bounds", "--input", str(path), "--format", "json"],
                 ["table1", "--format", "json"],
                 ["table1", "--format", "csv"],
-                ["table1", "--format", "text"]]
+                ["table1", "--format", "text"],
+                ["validate", "--input", str(path), "--format", "json"],
+                ["validate", "--input", str(path), "--format", "csv"],
+                ["validate", "--input", str(path), "--format", "text"]]
     out = _fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
     assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
 
@@ -287,7 +298,7 @@ def test_public_names_resolve():
     assert not unknown and not numpy_loaded
     assert mods == {m: f"gaussian_eof.{m}" for m in _SUBMODULES}
     assert missing == [] and foreign == []
-    lazy = {"OMEGA", "bounds_report", "validate_cm", "verify_reconstruction",
+    lazy = {"OMEGA", "bounds_report", "standard_form_cm", "verify_reconstruction",
             "SchmidtSpectrum", "gaussian_eof"}
     assert not lazy & set(stored)
     assert set(gaussian_eof.__all__) | set(_SUBMODULES) | {"__version__"} <= set(listed)

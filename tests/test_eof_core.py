@@ -304,13 +304,13 @@ def _thermal_entropy(x):
 def test_no_root_failure_at_the_bona_fide_edge_near_the_vacuum():
     # one mode 1e-12..1e-9 above the vacuum, nu_- within TOL_PSD of 1 on
     # either side, m log-uniform on [1.001, 1e4], kp = -t kx; each state in
-    # both mode orders.  No state raises NoRoot.  A bona fide state's EOF
+    # both mode orders.  No state raises NoRoot or fails the critical-
+    # parameter consistency check (InvalidState).  A bona fide state's EOF
     # is at most the entropy g((n - 1)/2) of its near-vacuum mode; a state
     # that violates the uncertainty relation within TOL_PSD has no such
     # bound, and its EOF stays below 1e-7 bits
     rng = np.random.default_rng(83)
     routes = set()
-    refused = 0
     for i in range(1000):
         side = 1.0 if i % 2 else -1.0
         n = 1.0 + 10.0 ** rng.uniform(-12.0, -9.0)
@@ -322,21 +322,13 @@ def test_no_root_failure_at_the_bona_fide_edge_near_the_vacuum():
             assert validate_standard_form(p).is_bona_fide
             try:
                 report = eof(p)
-            except NoRoot as exc:
+            except (NoRoot, InvalidState) as exc:
                 pytest.fail(f"{p}: {exc}")
-            except InvalidState:
-                # the critical-parameter consistency check compares
-                # (m/r2 - 1)/(n/r1 - 1), which loses all its digits next to
-                # the vacuum, at 1e-9 absolute: a known refusal, not a
-                # failed solve
-                refused += 1
-                continue
             routes.add(report.method)
             if side > 0:
                 assert report.eof <= _thermal_entropy((n - 1.0) / 2.0), p
             assert report.eof <= 1e-7, p
     assert routes == {"separable", "general"}
-    assert refused <= 2
     # a0^2 ~ 3e8 here, so the floor b0 rounds to 1 and critical_params
     # falls back to a0 = 1, b0 = 0 (Degenerate)
     p = StandardFormParams(1.0000000000018257, 589.6240022419017,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import (CriticalParams, Degenerate, DomainError, NoRoot,
-                          SqueezingSolution, StandardFormParams,
+from gaussian_eof import (CriticalParams, Degenerate, DomainError,
+                          InvalidState, NoRoot, SqueezingSolution, StandardFormParams,
                           critical_params, eof, solve_squeezings,
                           standard_form_nu, standard_form_solver,
                           validate_standard_form)
@@ -317,6 +317,26 @@ def test_critical_params_consistency_on_randoms():
         alt = (p.m / sol.r2 - 1.0) / (p.n / sol.r1 - 1.0)
         if alt > 0:
             assert lhs == pytest.approx(alt, rel=1e-7)
+
+
+def test_critical_params_next_to_the_vacuum():
+    # m - 1 = 3.5e-10: (m/r2 - 1)/(n/r1 - 1) has a numerator of 1.6e-12 and
+    # differs from (m r2 - 1)/(n r1 - 1) by 3e-5 relative, all of it
+    # rounding; the check on the ratio residual accepts the solve in both
+    # mode orders, and still refuses the r -> 1/r counterpart of its r2
+    p = StandardFormParams(1.015696375893642, 1.000000000345938,
+                           1.3401754888834823e-05, -8.918153210717686e-06)
+    for q in (p, StandardFormParams(p.m, p.n, p.kx, p.kp)):
+        sol = solve_squeezings(q)
+        crit = critical_params(q, sol)
+        assert crit.a0 ** 4 == pytest.approx(
+            (q.m * sol.r2 - 1.0) / (q.n * sol.r1 - 1.0), rel=1e-12)
+        assert 0.0 < eof(q).eof < 1e-8
+    for q in (p, StandardFormParams(2.0, 1.5, 1.0, -0.7)):
+        sol = solve_squeezings(q)
+        wrong = SqueezingSolution(sol.r1, 1.0 / sol.r2, 0.0, 0.0)
+        with pytest.raises(InvalidState, match="consistency check"):
+            critical_params(q, wrong)
 
 
 def test_critical_params_degenerate_limit():

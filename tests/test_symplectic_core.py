@@ -10,12 +10,13 @@ from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
                           StandardFormParams, local_rotation, local_squeeze,
                           random_local_symplectic, reduce_to_standard_params,
                           squeezed_vacuum_cm, standard_form_cm,
-                          standard_form_nu, symplectic_eigenvalues,
-                          validate_cm, validate_standard_form)
+                          standard_form_nu, validate_cm,
+                          validate_standard_form)
 from gaussian_eof.standard_form import TOL_SYM, _raw_cm
 from gaussian_eof.symplectic_core import OMEGA, params_from_json_dict
 
-from conftest import near_pure_cm, random_bona_fide_params
+from conftest import (eigen_solve_report, near_pure_cm,
+                      random_bona_fide_params, symplectic_eigenvalues)
 
 
 def test_symplectic_form_identities():
@@ -143,7 +144,8 @@ def test_reduction_preserves_symplectic_spectrum():
     # S gamma S^T is asymmetric by rounding errors of the size of its
     # largest entries, beyond 1e-12 here, and is accepted as it is.  The
     # eigen-solve's error on nu_- grows as eps nu_+^2, so it is held to the
-    # reduced spectrum relative to nu_+
+    # reduced spectrum relative to nu_+; validate_cm's closed form keeps
+    # each eigenvalue to 1e-12 of the generating spectrum
     rng = np.random.default_rng(31)
     log_hi = math.log(1e5)
     done = 0
@@ -162,6 +164,8 @@ def test_reduction_preserves_symplectic_spectrum():
         eig = symplectic_eigenvalues(0.5 * (transported + transported.T))
         assert standard_form_nu(reduced.n, reduced.m, reduced.kx, reduced.kp) == (
             pytest.approx(eig, rel=0.0, abs=1e-9 * eig[1])), params
+        assert validate_cm(transported).symplectic_eigenvalues == pytest.approx(
+            standard_form_nu(n, m, kx, kp), rel=1e-12, abs=0.0), params
         done += 1
 
 
@@ -180,12 +184,14 @@ def test_reduction_of_near_pure_states():
 
 
 def test_reduction_accepts_near_pure_states():
-    # the eigen-solve of validate_cm rounds nu_- below 1 - TOL_PSD on a
-    # sliver of these bona fide matrices (one of this set); the reduction
-    # validates on the closed-form spectrum and accepts them all
+    # the 4x4 eigen-solve rounds nu_- below 1 - TOL_PSD on a sliver of these
+    # bona fide matrices (one of this set); validate_cm and the reduction
+    # validate on the closed-form spectrum and accept them all
     rng = np.random.default_rng(46)
     for _ in range(4000):
-        reduce_to_standard_params(near_pure_cm(rng)[0])
+        gamma = near_pure_cm(rng)[0]
+        assert validate_cm(gamma).is_bona_fide, gamma.tolist()
+        reduce_to_standard_params(gamma)
 
 
 def _raw_matrices(rng, size):
@@ -214,11 +220,17 @@ def _raw_matrices(rng, size):
 
 
 def test_reduction_validation_matches_eigen_solve():
-    # the reduction accepts exactly the matrices validate_cm calls bona fide,
-    # and a refusal names the test the eigen-solve fails first
+    # validate_cm raises the same flags as the eigen-solve, the reduction
+    # accepts exactly the matrices the eigen-solve calls bona fide, and a
+    # refusal names the test the eigen-solve fails first
+    def flags(report):
+        return (report.is_symmetric_matrix, report.is_positive,
+                report.is_bona_fide, report.is_pure)
+
     seen = set()
     for gamma in _raw_matrices(np.random.default_rng(79), 20000):
-        oracle = validate_cm(gamma)
+        oracle = eigen_solve_report(gamma)
+        assert flags(validate_cm(gamma)) == flags(oracle), gamma.tolist()
         try:
             reduce_to_standard_params(gamma)
             refusal = None
@@ -304,6 +316,15 @@ def test_reduction_rejects_wrong_shapes(gamma):
     with pytest.raises(DomainError):
         reduce_to_standard_params(gamma)
     with pytest.raises(DomainError):
+        validate_cm(gamma)
+
+
+def test_entries_too_small_to_reduce_raise():
+    # the normalisation underflows at entries of about 1e-77 and below
+    gamma = 1e-100 * np.eye(4)
+    with pytest.raises(DomainError, match="too small"):
+        reduce_to_standard_params(gamma)
+    with pytest.raises(DomainError, match="too small"):
         validate_cm(gamma)
 
 
@@ -468,7 +489,8 @@ def test_validate_standard_form_matches_eigen_solve():
     for n, m, kx, kp in states:
         p = StandardFormParams(n, m, kx, kp)
         closed = validate_standard_form(p)
-        assert flags(closed) == flags(validate_cm(standard_form_cm(p, 1.0, 1.0))), p
+        assert flags(closed) == flags(
+            eigen_solve_report(standard_form_cm(p, 1.0, 1.0))), p
         seen.add(flags(closed))
     # every outcome occurs: not positive, not bona fide, mixed, pure
     assert seen == {(False, False, False), (True, False, False),
