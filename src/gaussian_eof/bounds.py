@@ -12,7 +12,7 @@ polished by Brent's parabolic minimization, in scalar arithmetic.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
@@ -58,14 +58,7 @@ class BoundsReport:
     m_opt: float
 
     def to_dict(self) -> dict:
-        return {
-            "eof": self.eof,
-            "gaussian_eof": self.gaussian_eof,
-            "rigolin_lower": self.rigolin_lower,
-            "oliveira_upper": self.oliveira_upper,
-            "oliveira_physical": self.oliveira_physical,
-            "m_opt": self.m_opt,
-        }
+        return asdict(self)
 
 
 def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12, double_root=False):

@@ -5,9 +5,9 @@ verify-decomposition, validate.  Exit codes: 1 input validation failure,
 2 numerical failure, 3 verification failure.  Errors go to stderr as JSON.
 Output is byte-identical for identical inputs and seeds.
 
-numpy and the modules built on it are imported by the handlers that use
-them, so `eof`, `bounds`, `table1` and `validate` run without loading
-numpy.
+Every CSV and text cell goes through _fmt, and every json/csv/text choice
+through _emit.  Only verify-decomposition loads numpy, for its seeded
+sampling; its handler imports the decomposition module.
 """
 
 import argparse
@@ -24,13 +24,45 @@ from .standard_form import (StandardFormParams, params_from_json_dict,
 _EXIT_INPUT = 1
 _EXIT_NUMERICAL = 2
 _EXIT_VERIFICATION = 3
+_FORMATS = ("json", "csv", "text")
 
 
 def _fmt(x) -> str:
-    """CSV number format: '.' decimal, 12 significant digits."""
+    """One CSV or text cell: numbers with a '.' decimal and 12 significant
+    digits, lower-case booleans, "" for None, strings as they are."""
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, str):
+        return x
     return f"{x:.12g}"
+
+
+def _emit(fmt, payload, rows, text) -> None:
+    """Write payload as JSON, rows (dicts with the same keys, in column
+    order) as a CSV header and one line each, or the text."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(map(_fmt, row.values())))
+    else:
+        print(text)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 1, float for float:
+    start + i*step, with stop as the last point."""
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:   # numpy scales by delta when the step underflows
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +78,15 @@ def load_table1_reference() -> dict:
         return json.load(fh)
 
 
+def _read_state(path) -> dict:
+    """The JSON object of a state file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise DomainError("a state file must hold a JSON object")
+    return payload
+
+
 def _params_from_args(args) -> StandardFormParams:
     if args.params is not None and args.input is not None:
         raise DomainError("--params and --input are mutually exclusive")
@@ -53,20 +94,15 @@ def _params_from_args(args) -> StandardFormParams:
         n, m, kx, kp = args.params
         return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return params_from_json_dict(json.load(fh))
+        return params_from_json_dict(_read_state(args.input))
     raise DomainError("provide --params N M KX KP or --input FILE")
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _add_state_args(sp) -> None:
+def _add_state_args(sp, default="text") -> None:
     sp.add_argument("--params", nargs=4, type=float, metavar=("N", "M", "KX", "KP"),
                     help="standard-form parameters")
     sp.add_argument("--input", help="JSON file with a gamma matrix or params object")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sp.add_argument("--format", choices=_FORMATS, default=default)
 
 
 def build_parser() -> _Parser:
@@ -83,7 +119,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("table1", help="reproduce the six benchmark states")
     sp.add_argument("--strict", action="store_true",
                     help="exit nonzero if any cell deviates beyond tolerance")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sp.add_argument("--format", choices=_FORMATS, default="text")
 
     sp = sub.add_parser("sweep-family", help="amplifier-family EOF sweep (CSV)")
     sp.add_argument("--kappa", type=float, default=2.0)
@@ -99,60 +135,40 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-decomposition",
                         help="Monte-Carlo check of the optimal decomposition")
-    sp.add_argument("--params", nargs=4, type=float, metavar=("N", "M", "KX", "KP"))
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    _add_state_args(sp, default="json")
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=12345)
 
     sp = sub.add_parser("validate", help="validate a covariance matrix file")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    sp.add_argument("--format", choices=_FORMATS, default="json")
     return p
 
 
 def _cmd_eof(args) -> int:
-    report = eof(_params_from_args(args))
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    elif args.format == "csv":
-        d = report.to_dict()
-        print("n,m,kx,kp,a0,b0,delta0,delta0_prime,eof,method,separable")
-        print(",".join([_fmt(d["params"]["n"]), _fmt(d["params"]["m"]),
-                        _fmt(d["params"]["kx"]), _fmt(d["params"]["kp"]),
-                        _fmt(d["a0"]), _fmt(d["b0"]), _fmt(d["delta0"]),
-                        _fmt(d["delta0_prime"]), _fmt(d["eof"]),
-                        d["method"], str(d["separable"]).lower()]))
-    else:
-        print(f"EOF = {_fmt(report.eof)} bits ({report.method})")
-        print(f"delta0 = {_fmt(report.epr.delta0)}, delta0' = "
-              f"{_fmt(report.epr.delta0_prime)}, a0 = {_fmt(report.epr.a0)}, "
-              f"b0 = {_fmt(report.epr.b0)}")
+    d = eof(_params_from_args(args)).to_dict()
+    row = {k: d["params"][k] for k in ("n", "m", "kx", "kp")}
+    row.update((k, v) for k, v in d.items() if k != "params")
+    text = (f"EOF = {_fmt(d['eof'])} bits ({d['method']})\n"
+            f"delta0 = {_fmt(d['delta0'])}, delta0' = {_fmt(d['delta0_prime'])}, "
+            f"a0 = {_fmt(d['a0'])}, b0 = {_fmt(d['b0'])}")
+    _emit(args.format, d, [row], text)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
 
-    report = bounds_mod.bounds_report(_params_from_args(args))
-    d = report.to_dict()
-    if args.format == "json":
-        _emit_json(d)
-    elif args.format == "csv":
-        keys = ["eof", "gaussian_eof", "rigolin_lower", "oliveira_upper",
-                "oliveira_physical", "m_opt"]
-        print(",".join(keys))
-        print(",".join(_fmt(d[k]) if not isinstance(d[k], bool)
-                       else str(d[k]).lower() for k in keys))
-    else:
-        upper = _fmt(d["oliveira_upper"]) if d["oliveira_physical"] else "non-physical"
-        print(f"lower = {_fmt(d['rigolin_lower'])} <= eof = {_fmt(d['eof'])} "
-              f"<= gaussian_eof = {_fmt(d['gaussian_eof'])}; upper = {upper}; "
-              f"m_opt = {_fmt(d['m_opt'])}")
+    d = bounds_mod.bounds_report(_params_from_args(args)).to_dict()
+    upper = _fmt(d["oliveira_upper"]) if d["oliveira_physical"] else "non-physical"
+    text = (f"lower = {_fmt(d['rigolin_lower'])} <= eof = {_fmt(d['eof'])} "
+            f"<= gaussian_eof = {_fmt(d['gaussian_eof'])}; upper = {upper}; "
+            f"m_opt = {_fmt(d['m_opt'])}")
+    _emit(args.format, d, [d], text)
     return 0
 
 
-def _table1_rows() -> tuple[list[dict], dict]:
+def _table1_rows() -> list[dict]:
     from . import bounds as bounds_mod
 
     ref = load_table1_reference()
@@ -161,133 +177,91 @@ def _table1_rows() -> tuple[list[dict], dict]:
     for row in ref["rows"]:
         params = StandardFormParams(n=row["n"], m=row["m"], kx=row["kx"], kp=row["kp"])
         computed = bounds_mod.bounds_report(params)
-        upper = computed.oliveira_upper
-        cells = {name: (getattr(computed, name), row[name], tol[name])
-                 for name in ("eof", "gaussian_eof", "rigolin_lower")}
-        out = {"params": [row["n"], row["m"], row["kx"], row["kp"]],
-               "marians_eof": row["marians_eof"], "cells": {}}
-        for name, (got, want, cell_tol) in cells.items():
-            dev = abs(got - want)
-            out["cells"][name] = {"computed": got, "reference": want,
-                                  "deviation": dev, "within_tolerance": dev <= cell_tol}
-        ref_upper = row["oliveira_upper"]
-        if ref_upper is None:
-            ok = upper is None
-            entry = {"computed": upper, "reference": None,
-                     "deviation": None, "within_tolerance": ok}
-        elif upper is None:
-            entry = {"computed": None, "reference": ref_upper,
-                     "deviation": None, "within_tolerance": False}
-        else:
-            dev = abs(upper - ref_upper)
-            entry = {"computed": upper, "reference": ref_upper, "deviation": dev,
-                     "within_tolerance": dev <= tol["oliveira_upper"]}
-        out["cells"]["oliveira_upper"] = entry
-        rows.append(out)
-    return rows, tol
+        cells = {}
+        for name in ("eof", "gaussian_eof", "rigolin_lower", "oliveira_upper"):
+            got, want = getattr(computed, name), row[name]
+            # an absent cell (a non-physical Oliveira state) matches only absent
+            dev = None if got is None or want is None else abs(got - want)
+            ok = (got is None and want is None) if dev is None else dev <= tol[name]
+            cells[name] = {"computed": got, "reference": want, "deviation": dev,
+                           "within_tolerance": ok}
+        rows.append({"params": [row["n"], row["m"], row["kx"], row["kp"]],
+                     "marians_eof": row["marians_eof"], "cells": cells})
+    return rows
 
 
 def _cmd_table1(args) -> int:
-    rows, _ = _table1_rows()
+    rows = _table1_rows()
     out_of_tol = sum(not c["within_tolerance"]
                      for r in rows for c in r["cells"].values())
-    all_ok = out_of_tol == 0
-    if args.format == "json":
-        _emit_json({"rows": rows, "all_within_tolerance": all_ok,
-                    "cells_out_of_tolerance": out_of_tol})
-    elif args.format == "csv":
-        print("n,m,kx,kp,column,computed,reference,deviation,within_tolerance")
-        for r in rows:
-            pref = ",".join(_fmt(v) for v in r["params"])
-            for name, c in r["cells"].items():
-                print(f"{pref},{name},{_fmt(c['computed'])},{_fmt(c['reference'])},"
-                      f"{_fmt(c['deviation'])},{str(c['within_tolerance']).lower()}")
-    else:
-        head = (f"{'params':>22}  {'column':>14}  {'computed':>14}  "
-                f"{'reference':>14}  {'deviation':>10}  ok")
-        print(head)
-        for r in rows:
-            label = "(" + ", ".join(_fmt(v) for v in r["params"]) + ")"
-            for name, c in r["cells"].items():
-                comp = _fmt(c["computed"]) if c["computed"] is not None else "absent"
-                want = _fmt(c["reference"]) if c["reference"] is not None else "absent"
-                dev = _fmt(c["deviation"]) if c["deviation"] is not None else "-"
-                print(f"{label:>22}  {name:>14}  {comp:>14}  {want:>14}  "
-                      f"{dev:>10}  {'yes' if c['within_tolerance'] else 'NO'}")
-                label = ""
-    if args.strict and not all_ok:
-        return _EXIT_VERIFICATION
-    return 0
+    cell_rows = []
+    lines = [f"{'params':>22}  {'column':>14}  {'computed':>14}  "
+             f"{'reference':>14}  {'deviation':>10}  ok"]
+    for r in rows:
+        label = "(" + ", ".join(map(_fmt, r["params"])) + ")"
+        for name, c in r["cells"].items():
+            cell_rows.append({**dict(zip(("n", "m", "kx", "kp"), r["params"])),
+                              "column": name, **c})
+            lines.append(f"{label:>22}  {name:>14}  {_fmt(c['computed']) or 'absent':>14}  "
+                         f"{_fmt(c['reference']) or 'absent':>14}  "
+                         f"{_fmt(c['deviation']) or '-':>10}  "
+                         f"{'yes' if c['within_tolerance'] else 'NO'}")
+            label = ""
+    _emit(args.format, {"rows": rows, "all_within_tolerance": out_of_tol == 0,
+                        "cells_out_of_tolerance": out_of_tol},
+          cell_rows, "\n".join(lines))
+    return _EXIT_VERIFICATION if args.strict and out_of_tol else 0
 
 
 def _cmd_sweep_family(args) -> int:
-    import numpy as np
-
     if args.points < 1 or args.nbar_max < args.nbar_min or args.nbar_min < 0:
         raise DomainError("invalid sweep grid")
-    grid = np.linspace(args.nbar_min, args.nbar_max, args.points)
     print("kappa,nbar,eof,g_kappa")
     g = g_kappa(args.kappa)
-    for nbar in grid:
-        _, report, _ = giovannetti_family(args.kappa, float(nbar))
-        print(f"{_fmt(args.kappa)},{_fmt(float(nbar))},{_fmt(report.eof)},{_fmt(g)}")
+    for nbar in _linspace(args.nbar_min, args.nbar_max, args.points):
+        _, report, _ = giovannetti_family(args.kappa, nbar)
+        print(",".join(map(_fmt, (args.kappa, nbar, report.eof, g))))
     return 0
 
 
 def _cmd_figure1(args) -> int:
-    import numpy as np
-
     a_values = args.a_values or [-1.0, -1.2, -1.5]
     if any(a >= 0.0 for a in a_values):
         raise DomainError("Duan parameter a must be negative")
     if args.points < 2 or args.r_max <= 0.0:
         raise DomainError("invalid r grid")
-    grid = np.linspace(0.0, args.r_max, args.points)
+    grid = _linspace(0.0, args.r_max, args.points)
     print("a,r,delta")
     for a in a_values:
         for r in grid:
-            print(f"{_fmt(a)},{_fmt(float(r))},{_fmt(delta_pure_squeezed(float(r), a))}")
+            print(",".join(map(_fmt, (a, r, delta_pure_squeezed(r, a)))))
     return 0
 
 
 def _cmd_verify_decomposition(args) -> int:
     from . import decomposition as decomp_mod
 
-    params = _params_from_args(args)
-    report = decomp_mod.verify_reconstruction(params, n_samples=args.samples,
+    report = decomp_mod.verify_reconstruction(_params_from_args(args),
+                                              n_samples=args.samples,
                                               seed=args.seed)
-    if args.format == "csv":
-        keys = ["r_opt", "n_samples", "max_abs_error", "tolerance", "pass"]
-        print(",".join(keys))
-        print(",".join(str(report[k]).lower() if isinstance(report[k], bool)
-                       else _fmt(report[k]) for k in keys))
-    elif args.format == "text":
-        print(f"r_opt = {_fmt(report['r_opt'])}, n = {report['n_samples']}, "
-              f"max error = {_fmt(report['max_abs_error'])}, tolerance = "
-              f"{_fmt(report['tolerance'])}, pass = {report['pass']}")
-    else:
-        _emit_json(report)
+    text = (f"r_opt = {_fmt(report['r_opt'])}, n = {report['n_samples']}, "
+            f"max error = {_fmt(report['max_abs_error'])}, tolerance = "
+            f"{_fmt(report['tolerance'])}, pass = {report['pass']}")
+    _emit(args.format, report, [report], text)
     return 0 if report["pass"] else _EXIT_VERIFICATION
 
 
 def _cmd_validate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_state(args.input)
     if "gamma" not in payload:
         raise DomainError('validate expects a file with a "gamma" matrix')
-    report = validate_cm(payload["gamma"])
-    d = report.to_dict()
-    if args.format == "json":
-        _emit_json(d)
-    elif args.format == "csv":
-        keys = ["is_symmetric_matrix", "is_positive", "is_bona_fide", "is_pure"]
-        print(",".join(keys + ["nu_minus", "nu_plus"]))
-        print(",".join([str(d[k]).lower() for k in keys]
-                       + [_fmt(v) for v in d["symplectic_eigenvalues"]]))
-    else:
-        print(f"bona fide = {d['is_bona_fide']}, pure = {d['is_pure']}, "
-              f"nu = ({_fmt(d['symplectic_eigenvalues'][0])}, "
-              f"{_fmt(d['symplectic_eigenvalues'][1])})")
+    d = validate_cm(payload["gamma"]).to_dict()
+    nu = d["symplectic_eigenvalues"]
+    row = {k: v for k, v in d.items() if k != "symplectic_eigenvalues"}
+    row.update(nu_minus=nu[0], nu_plus=nu[1])
+    text = (f"bona fide = {d['is_bona_fide']}, pure = {d['is_pure']}, "
+            f"nu = ({_fmt(nu[0])}, {_fmt(nu[1])})")
+    _emit(args.format, d, [row], text)
     return 0
 
 

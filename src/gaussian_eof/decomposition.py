@@ -17,8 +17,8 @@ import numpy as np
 from .eof_core import eof
 from .epr_uncertainty import r_from_delta_prime
 from .errors import DomainError, NotPsd
-from .symplectic_core import (StandardFormParams, squeezed_vacuum_cm,
-                              standard_form_cm)
+from .standard_form import StandardFormParams
+from .symplectic_core import squeezed_vacuum_cm, standard_form_cm
 
 PSD_TOL = 1e-9
 _CHUNK = 16384

@@ -9,10 +9,11 @@ state that optimally decomposes the state.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, InvalidState
-from .standard_form_solver import CriticalParams, SqueezingSolution
+from .standard_form_solver import (CriticalParams, SqueezingSolution,
+                                   _uncertainty_floor)
 from .standard_form import StandardFormParams
 
 TOL_CLAMP = 1e-9
@@ -27,8 +28,7 @@ class EprQuantities:
     separable: bool      # unclamped uncertainty reached 1
 
     def to_dict(self) -> dict:
-        return {"a0": self.a0, "b0": self.b0, "delta0": self.delta0,
-                "delta0_prime": self.delta0_prime, "separable": self.separable}
+        return asdict(self)
 
 
 def delta_general(params: StandardFormParams, a: float) -> float:
@@ -93,8 +93,7 @@ def uncertainty_floor(a: float) -> float:
     """b(a) = sqrt(1 - 4/(a^2 + 1/a^2)^2), the minimum of the pure-state curve."""
     if a == 0.0 or not math.isfinite(a):
         raise DomainError("Duan parameter a must be a nonzero finite real")
-    a2 = a * a
-    return math.sqrt(max(1.0 - 4.0 / (a2 + 1.0 / a2) ** 2, 0.0))
+    return _uncertainty_floor(a * a)
 
 
 def delta_prime(delta: float, b: float) -> float:

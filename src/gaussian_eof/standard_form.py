@@ -18,11 +18,11 @@ signed standard form serves both validate_cm and reduce_to_standard_params.
 
 This module imports only the standard library, so the eof() pipeline and
 the CLI validate report run without numpy; symplectic_core holds the
-matrix constructors and re-exports every name defined here.
+matrix constructors.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, InvalidState, NonFiniteEntry
 
@@ -55,8 +55,7 @@ class StandardFormParams:
         return replace(self, r1=r1, r2=r2)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "kx": self.kx, "kp": self.kp,
-                "r1": self.r1, "r2": self.r2}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,12 @@ def _finish(params: StandardFormParams, r1: float, r2: float) -> SqueezingSoluti
                              residual_balance=res_balance)
 
 
+def _uncertainty_floor(a2: float) -> float:
+    """b = sqrt(1 - 4/(a^2 + 1/a^2)^2), the floor of the EPR-like
+    uncertainty at Duan parameter a, from a2 = a^2."""
+    return math.sqrt(max(1.0 - 4.0 / (a2 + 1.0 / a2) ** 2, 0.0))
+
+
 def critical_params(params: StandardFormParams,
                     sol: SqueezingSolution) -> CriticalParams:
     """Critical Duan parameter a0 and floor b0 from a solved standard form.
@@ -194,7 +200,7 @@ def critical_params(params: StandardFormParams,
     if abs(residual) > 1e-13 * terms:
         raise InvalidState(f"critical-parameter consistency check failed: "
                            f"ratio residual {residual} against terms {terms}")
-    b0 = math.sqrt(max(1.0 - 4.0 / (a0sq + 1.0 / a0sq) ** 2, 0.0))
+    b0 = _uncertainty_floor(a0sq)
     if b0 >= 1.0:
         raise Degenerate(
             f"critical parameter a0^2 = {a0sq}: the floor b0 rounds to 1")

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,6 +13,8 @@ import gaussian_eof
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof.cli import main
 from gaussian_eof import squeezed_vacuum_cm, standard_form_cm, StandardFormParams
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +148,54 @@ def test_validate_rejects_malformed_file(tmp_path, capsys):
     assert code == 1
 
 
+def _golden_cases():
+    with open(DATA / "cli_golden.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _golden_cases(),
+                         ids=lambda case: " ".join(case["argv"]) or "<none>")
+def test_golden_output(capsys, case):
+    # stdout, stderr and exit code of every command and format, recorded
+    # with the state files of tests/data; "{data}" stands for that directory
+    argv = [a.replace("{data}", str(DATA)) for a in case["argv"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.replace(str(DATA), "{data}"),
+            err.replace(str(DATA), "{data}")) == (
+        case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("command", ["eof", "bounds", "verify-decomposition",
+                                     "validate"])
+def test_state_file_must_hold_an_object(capsys, command):
+    # a number, null, a string or a list at the top level of a state file
+    # is an input error, reported as JSON on stderr
+    for name in ("top_number.json", "top_null.json", "top_string.json",
+                 "top_list.json"):
+        code, out, err = run_cli(capsys, command, "--input", str(DATA / name))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "DomainError", "message":
+                                   "a state file must hold a JSON object"}
+
+
+def test_linspace_is_numpy_linspace():
+    # bit for bit, on random grids, one point, a zero-width grid and a
+    # step that underflows to 0
+    from gaussian_eof.cli import _linspace
+
+    rng = np.random.default_rng(13)
+    grids = [(float(a), float(b), int(k)) for a, b, k in zip(
+        rng.uniform(-100.0, 100.0, 2000) * 10.0 ** rng.integers(-8, 8, 2000),
+        rng.uniform(-100.0, 100.0, 2000), rng.integers(1, 300, 2000))]
+    grids += [(3.5, 3.5, 7), (-0.0, 2.0, 1), (0.0, -2.0, 1), (2.0, 2.0, 1),
+              (0.0, 5e-324, 4), (1e-310, 1.00001e-310, 9), (0.0, 1e-320, 2),
+              (0.0, 8.0, 2001), (-0.0, 0.0, 3), (5.0, -5.0, 11)]
+    for start, stop, num in grids:
+        got = _linspace(start, stop, num)
+        want = np.linspace(start, stop, num).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want], (start, stop, num)
+
+
 def test_table1_default_and_strict(capsys):
     code, out, _ = run_cli(capsys, "table1", "--format", "json")
     assert code == 0
@@ -167,6 +219,23 @@ def test_table1_default_and_strict(capsys):
         report = gaussian_eof.bounds_report(StandardFormParams(*row["params"]))
         for name, cell in row["cells"].items():
             assert cell["computed"] == getattr(report, name)
+
+
+def test_table1_absent_cell_matches_only_absent(capsys, monkeypatch):
+    # an Oliveira cell computed absent where the reference has a value, or
+    # present where the reference is absent, is out of tolerance
+    real = bounds_mod.bounds_report
+
+    def flipped(params):
+        report = real(params)
+        return dataclasses.replace(report, oliveira_upper=(
+            None if report.oliveira_upper is not None else 1.0))
+
+    monkeypatch.setattr(bounds_mod, "bounds_report", flipped)
+    code, out, _ = run_cli(capsys, "table1", "--format", "json")
+    cells = [row["cells"]["oliveira_upper"] for row in json.loads(out)["rows"]]
+    assert code == 0
+    assert [(c["deviation"], c["within_tolerance"]) for c in cells] == [(None, False)] * 6
 
 
 def test_table1_text_and_csv(capsys):
@@ -238,10 +307,11 @@ def _fresh_python(code, *args):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is a test-only dependency and sampling runs on one thread; the
-    # standard-form path (the import, eof and bounds with --params or with
-    # --input on a gamma matrix, table1 and validate in every format) loads
-    # neither numpy nor scipy nor concurrent.futures
+    # scipy is a test-only dependency and sampling runs on one thread; every
+    # command but verify-decomposition (the import, eof and bounds with
+    # --params or with --input on a gamma matrix, table1 and validate in
+    # every format, sweep-family and figure1) loads neither numpy nor scipy
+    # nor concurrent.futures
     path = tmp_path / "state.json"
     gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
     path.write_text(json.dumps({"gamma": gamma.tolist()}))
@@ -268,7 +338,9 @@ def test_import_loads_no_scipy(tmp_path):
                 ["table1", "--format", "text"],
                 ["validate", "--input", str(path), "--format", "json"],
                 ["validate", "--input", str(path), "--format", "csv"],
-                ["validate", "--input", str(path), "--format", "text"]]
+                ["validate", "--input", str(path), "--format", "text"],
+                ["sweep-family", "--nbar-max", "2", "--points", "3"],
+                ["figure1", "--r-max", "1", "--points", "5"]]
     out = _fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
     assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
 

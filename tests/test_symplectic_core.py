@@ -12,8 +12,8 @@ from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
                           squeezed_vacuum_cm, standard_form_cm,
                           standard_form_nu, validate_cm,
                           validate_standard_form)
-from gaussian_eof.standard_form import TOL_SYM, _raw_cm
-from gaussian_eof.symplectic_core import OMEGA, params_from_json_dict
+from gaussian_eof.standard_form import TOL_SYM, _raw_cm, params_from_json_dict
+from gaussian_eof.symplectic_core import OMEGA
 
 from conftest import (eigen_solve_report, near_pure_cm,
                       random_bona_fide_params, symplectic_eigenvalues)
