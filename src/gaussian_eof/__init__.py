@@ -18,6 +18,7 @@ submodule's current binding.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .eof_core import (EofReport, eof, eof_from_cm, f_aux, g_kappa,
                        giovannetti_family, squeezed_thermal_eof, symmetric_eof)
@@ -67,23 +68,7 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))
 
 
-__all__ = [
-    "OMEGA", "BoundsReport", "CriticalParams",
-    "Degenerate", "DecompositionSpec", "DomainError",
-    "EofReport", "EprQuantities", "GammaCandidate", "GaussianEofError",
-    "Infeasible", "InvalidState", "NonFiniteEntry", "NoRoot", "NotPsd",
-    "SandwichViolation", "SchmidtSpectrum", "SqueezingSolution",
-    "StandardFormParams", "TruncationTooCoarse", "ValidityReport",
-    "bounds_report", "critical_params", "delta0", "delta_general",
-    "delta_of_spectrum", "delta_prime", "delta_pure_squeezed",
-    "decomposition_spec", "entropy_of_spectrum", "eof", "eof_from_cm",
-    "f_aux", "g_kappa", "gaussian_eof", "giovannetti_family",
-    "local_rotation", "local_squeeze", "minimal_entropy_spectrum",
-    "minimize_reduced_determinant", "oliveira_upper",
-    "r_from_delta_prime", "random_local_symplectic", "reconstruct_cm",
-    "reduce_to_standard_params", "rigolin_lower", "sample_displacements",
-    "schmidt_coeffs_squeezed", "solve_squeezings", "squeezed_thermal_eof",
-    "squeezed_vacuum_cm", "standard_form_cm", "standard_form_nu",
-    "symmetric_eof", "uncertainty_floor",
-    "validate_cm", "validate_standard_form", "verify_reconstruction",
-]
+# every public name: those imported above and those _LAZY resolves
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)} | set(_LAZY))

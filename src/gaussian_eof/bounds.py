@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
-from .standard_form import StandardFormParams, validate_standard_form
+from .standard_form import (StandardFormParams, check_canonical,
+                            validate_standard_form)
 
 SCAN_POINTS = 16
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
@@ -165,9 +166,11 @@ def minimize_reduced_determinant(params: StandardFormParams,
     above the best scan point.
 
     Raises:
+        DomainError: parameters not finite or not canonical.
         Infeasible: no parameter point satisfies both constraints with a
             positive-definite Gamma (separable or invalid input).
     """
+    check_canonical(params)
     cx11, cx22, kx, p11, p22, p12 = coefs = _scan_coefficients(params)
     ad = (cx22 - p22) * (cx11 - p11)
     coefs += (ad - (kx - p12) ** 2 <= _VACUUM_TOL * ad,)
@@ -276,7 +279,7 @@ def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:
 def _gaussian_eof(params: StandardFormParams,
                   base: EofReport) -> tuple[float, float]:
     """gaussian_eof with the state's eof() report already in hand."""
-    if base.epr.separable or params.is_product:
+    if base.epr.separable:
         return 0.0, 1.0
     if base.method == "pure":
         dp = base.epr.delta0_prime
@@ -288,6 +291,7 @@ def _gaussian_eof(params: StandardFormParams,
 
 def rigolin_lower(params: StandardFormParams) -> float:
     """Lower bound: EOF of the symmetric surrogate with n = m = (n+m)/2."""
+    check_canonical(params)
     n_sym = 0.5 * (params.n + params.m)
     return symmetric_eof(n_sym, params.kx, params.kp).eof
 
@@ -302,6 +306,7 @@ def oliveira_upper(params: StandardFormParams) -> float | None:
     unchanged, so no squeezed form needs checking).  A non-physical
     surrogate returns None (a reported outcome, not an error).
     """
+    check_canonical(params)
     lo = min(params.n, params.m)
     surrogate = StandardFormParams(n=lo, m=lo, kx=params.kx, kp=params.kp)
     if not validate_standard_form(surrogate).is_bona_fide:

@@ -6,12 +6,15 @@ verify-decomposition, validate.  Exit codes: 1 input validation failure,
 Output is byte-identical for identical inputs and seeds.
 
 Every CSV and text cell goes through _fmt, and every json/csv/text choice
-through _emit.  Only verify-decomposition loads numpy, for its seeded
-sampling; its handler imports the decomposition module.
+through _emit.  A command checks its arguments and computes its whole
+output before it writes any, so an error leaves stdout empty.  Only
+verify-decomposition loads numpy, for its seeded sampling; its handler
+imports the decomposition module.
 """
 
 import argparse
 import json
+import math
 import sys
 
 from .eof_core import eof, g_kappa, giovannetti_family
@@ -214,13 +217,13 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_sweep_family(args) -> int:
-    if args.points < 1 or args.nbar_max < args.nbar_min or args.nbar_min < 0:
+    if args.points < 1 or not 0.0 <= args.nbar_min <= args.nbar_max < math.inf:
         raise DomainError("invalid sweep grid")
-    print("kappa,nbar,eof,g_kappa")
     g = g_kappa(args.kappa)
-    for nbar in _linspace(args.nbar_min, args.nbar_max, args.points):
-        _, report, _ = giovannetti_family(args.kappa, nbar)
-        print(",".join(map(_fmt, (args.kappa, nbar, report.eof, g))))
+    rows = [{"kappa": args.kappa, "nbar": nbar,
+             "eof": giovannetti_family(args.kappa, nbar)[1].eof, "g_kappa": g}
+            for nbar in _linspace(args.nbar_min, args.nbar_max, args.points)]
+    _emit("csv", None, rows, None)
     return 0
 
 
@@ -228,13 +231,13 @@ def _cmd_figure1(args) -> int:
     a_values = args.a_values or [-1.0, -1.2, -1.5]
     if any(a >= 0.0 for a in a_values):
         raise DomainError("Duan parameter a must be negative")
-    if args.points < 2 or args.r_max <= 0.0:
+    if not all(map(math.isfinite, a_values)):
+        raise DomainError("Duan parameter a must be finite")
+    if args.points < 2 or not 0.0 < args.r_max < math.inf:
         raise DomainError("invalid r grid")
     grid = _linspace(0.0, args.r_max, args.points)
-    print("a,r,delta")
-    for a in a_values:
-        for r in grid:
-            print(",".join(map(_fmt, (a, r, delta_pure_squeezed(r, a)))))
+    _emit("csv", None, [{"a": a, "r": r, "delta": delta_pure_squeezed(r, a)}
+                        for a in a_values for r in grid], None)
     return 0
 
 

@@ -48,13 +48,11 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
             inconsistency between the claimed decomposition and the state.
     """
     report = eof(params)
-    if report.epr.separable or params.is_product:
+    if report.epr.separable:
         raise DomainError("separable states have no squeezed-state decomposition")
     r_opt = r_from_delta_prime(report.epr.delta0_prime)
-    solved = report.params
-    gamma_sigma = standard_form_cm(solved)
+    gamma_sigma = standard_form_cm(report.params)
     m_weight = gamma_sigma - squeezed_vacuum_cm(r_opt)
-    m_weight = 0.5 * (m_weight + m_weight.T)
     eigvals = np.linalg.eigvalsh(m_weight)
     if eigvals[0] < -PSD_TOL:
         raise NotPsd(

@@ -6,17 +6,20 @@ critical Duan parameter and maps it through f to the EOF in bits.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .epr_uncertainty import EprQuantities, delta0, delta_prime
+from .epr_uncertainty import EprQuantities, delta0
 from .errors import Degenerate, DomainError, InvalidState
-from .standard_form import (TOL_PSD, StandardFormParams,
+from .standard_form import (TOL_PSD, StandardFormParams, check_canonical,
                             reduce_to_standard_params, standard_form_nu,
                             validate_standard_form)
-from .standard_form_solver import (CriticalParams, SqueezingSolution,
-                                   critical_params, solve_squeezings)
+from .standard_form_solver import (CriticalParams, critical_params,
+                                   solve_squeezings)
 
 _LN2 = math.log(2.0)
+# the EPR quantities reported for a state found separable before any solve
+_SEPARABLE = EprQuantities(a0=1.0, b0=0.0, delta0=1.0, delta0_prime=1.0,
+                           separable=True)
 
 
 @dataclass(frozen=True)
@@ -58,27 +61,23 @@ def f_aux(delta: float) -> float:
     return (1.0 + s) * math.log1p(s) / _LN2 - s * math.log2(s)
 
 
-def _check_canonical(params: StandardFormParams) -> None:
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
-        raise DomainError("parameters must be finite")
-    if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
-        raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
-    if kx < -1e-12 or kp > 1e-12 or kx < -kp - 1e-12:
-        raise DomainError(
-            f"parameters not canonical (need kx >= -kp >= 0): kx={kx}, kp={kp}")
-
-
-def _separable_epr(a0: float = 1.0, b0: float = 0.0) -> EprQuantities:
-    return EprQuantities(a0=a0, b0=b0, delta0=1.0, delta0_prime=1.0,
-                         separable=True)
+def _report(params: StandardFormParams, epr: EprQuantities,
+            method: str) -> EofReport:
+    """The report of a state with EPR quantities epr: f(Delta0') bits by
+    method, or 0 bits and method "separable" when epr is separable."""
+    if epr.separable:
+        return EofReport(params=params, epr=epr, eof=0.0, method="separable")
+    return EofReport(params=params, epr=epr, eof=f_aux(epr.delta0_prime),
+                     method=method)
 
 
 def eof(params: StandardFormParams) -> EofReport:
     """Entanglement of formation of the state with the given standard form.
 
-    The state is validated on the closed-form symplectic eigenvalues of
-    its standard form (validate_standard_form), with no eigen-solve.
+    The parameters must be an admissible standard form (check_canonical:
+    finite, n, m >= 1, kx >= -kp >= 0), and the state is validated on the
+    closed-form symplectic eigenvalues of its standard form
+    (validate_standard_form), with no eigen-solve.
     Dispatch, decided here and nowhere else: product and separable states
     report 0; pure and symmetric (n = m within 1e-12 relative) states take
     the symmetric closed form; a state with a mode within 1e-12 of the
@@ -92,13 +91,13 @@ def eof(params: StandardFormParams) -> EofReport:
     solve, the critical-parameter evaluation and f.
 
     Raises:
-        DomainError: parameters not canonical.
+        DomainError: parameters not finite, or not canonical.
         InvalidState: parameters describe no bona fide CM.
     """
-    _check_canonical(params)
+    check_canonical(params)
     if params.is_product:
-        return EofReport(params=params.with_squeezings(1.0, 1.0),
-                         epr=_separable_epr(), eof=0.0, method="separable")
+        return _report(params.with_squeezings(1.0, 1.0), _SEPARABLE,
+                       "separable")
     report = validate_standard_form(params)
     if not report.is_positive:
         raise InvalidState("parameters describe no positive matrix "
@@ -111,13 +110,13 @@ def eof(params: StandardFormParams) -> EofReport:
     if report.is_pure or abs(n - m) <= 1e-12 * max(n, m):
         # a pure state is a two-mode squeezed vacuum, hence symmetric
         closed = symmetric_eof(n, kx, kp)
-        if report.is_pure and not closed.epr.separable:
-            return replace(closed, method="pure")
+        if report.is_pure:
+            return _report(closed.params, closed.epr, "pure")
         return closed
     if (n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12
             or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
-        return EofReport(params=params.with_squeezings(1.0, 1.0),
-                         epr=_separable_epr(), eof=0.0, method="separable")
+        return _report(params.with_squeezings(1.0, 1.0), _SEPARABLE,
+                       "separable")
     if abs(kx + kp) <= 1e-12 * kx:
         return _squeezed_thermal(params)
     sol = solve_squeezings(params)
@@ -125,22 +124,18 @@ def eof(params: StandardFormParams) -> EofReport:
         crit = critical_params(params, sol)
     except Degenerate:
         crit = CriticalParams(a0=1.0, b0=0.0)
-    epr = delta0(params, sol, crit)
-    solved = params.with_squeezings(sol.r1, sol.r2)
-    if epr.separable:
-        return EofReport(params=solved, epr=epr, eof=0.0, method="separable")
-    return EofReport(params=solved, epr=epr, eof=f_aux(epr.delta0_prime),
-                     method="general")
+    return _report(params.with_squeezings(sol.r1, sol.r2),
+                   delta0(params, sol, crit), "general")
 
 
 def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
     """Closed-form EOF of a symmetric state: f(sqrt((n - kx)(n + kp))).
 
-    Zero when the argument reaches 1 (separable).  Physicality beyond
+    Zero when the argument reaches 1 (separable).  (n, n, kx, kp) must be
+    an admissible standard form (check_canonical); physicality beyond
     positivity of the argument is the caller's responsibility.
     """
-    if n < 1.0 - 1e-12:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_canonical(StandardFormParams(n=n, m=n, kx=kx, kp=kp))
     arg2 = (n - kx) * (n + kp)
     if arg2 <= 0.0:
         raise DomainError(
@@ -148,12 +143,9 @@ def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
     r = math.sqrt((n + kp) / (n - kx))
     params = StandardFormParams(n=n, m=n, kx=kx, kp=kp, r1=r, r2=r)
     d0 = math.sqrt(arg2)
-    if d0 >= 1.0:
-        return EofReport(params=params, epr=_separable_epr(), eof=0.0,
-                         method="separable")
-    epr = EprQuantities(a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0,
-                        separable=False)
-    return EofReport(params=params, epr=epr, eof=f_aux(d0), method="symmetric")
+    epr = _SEPARABLE if d0 >= 1.0 else EprQuantities(
+        a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0, separable=False)
+    return _report(params, epr, "symmetric")
 
 
 def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
@@ -175,19 +167,13 @@ def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
 def _squeezed_thermal(params: StandardFormParams) -> EofReport:
     """The squeezed-thermal closed form (kx = -kp), in either mode order.
 
-    Needs both modes above the vacuum (eof() routes a vacuum mode to
-    separable first).  The solved squeezings are r1 = r2 = 1.
+    Needs an entangled state with both modes above the vacuum: eof()
+    routes a vacuum mode, and a partial transpose that is bona fide, to
+    separable first.  The solved squeezings are r1 = r2 = 1.
     """
     n, m, kx = params.n, params.m, params.kx
-    solved = params.with_squeezings(1.0, 1.0)
     nt, mt = n - 1.0, m - 1.0
-    b0 = abs(n - m) / (n + m - 2.0)
     cross = kx * math.sqrt(nt * mt)
-    d0 = (n * mt + m * nt - 2.0 * cross) / (nt + mt)
-    a0 = (mt / nt) ** 0.25
-    if d0 >= 1.0:
-        return EofReport(params=solved, epr=_separable_epr(a0=a0, b0=b0),
-                         eof=0.0, method="separable")
     rad1 = n * mt - cross
     rad2 = m * nt - cross
     scale = max(n * mt, m * nt, 1.0)
@@ -195,16 +181,16 @@ def _squeezed_thermal(params: StandardFormParams) -> EofReport:
         raise DomainError(f"negative radicand in the closed form: {rad1}, {rad2}")
     dp = ((math.sqrt(max(rad1, 0.0)) + math.sqrt(max(rad2, 0.0)))
           / (math.sqrt(nt) + math.sqrt(mt))) ** 2
-    epr = EprQuantities(a0=a0, b0=b0, delta0=d0, delta0_prime=dp,
-                        separable=False)
-    return EofReport(params=solved, epr=epr, eof=f_aux(dp),
-                     method="squeezed_thermal")
+    epr = EprQuantities(a0=(mt / nt) ** 0.25, b0=abs(n - m) / (n + m - 2.0),
+                        delta0=(n * mt + m * nt - 2.0 * cross) / (nt + mt),
+                        delta0_prime=dp, separable=False)
+    return _report(params.with_squeezings(1.0, 1.0), epr, "squeezed_thermal")
 
 
 def g_kappa(kappa: float) -> float:
     """kappa log2 kappa - (kappa - 1) log2 (kappa - 1), with the 0 log 0 limit."""
-    if kappa < 1.0:
-        raise DomainError(f"gain must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError(f"gain must be finite and >= 1, got {kappa}")
     tail = 0.0 if kappa == 1.0 else (kappa - 1.0) * math.log2(kappa - 1.0)
     return kappa * math.log2(kappa) - tail
 
@@ -232,10 +218,3 @@ def eof_from_cm(gamma) -> EofReport:
     """Convenience: validate and reduce a raw CM, and run the pipeline."""
     return eof(reduce_to_standard_params(gamma))
 
-
-# re-exported for pipelines composed by hand in tests and the CLI
-__all__ = [
-    "EofReport", "eof", "eof_from_cm", "f_aux", "g_kappa",
-    "giovannetti_family", "squeezed_thermal_eof", "symmetric_eof",
-    "SqueezingSolution", "delta_prime",
-]

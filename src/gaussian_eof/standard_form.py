@@ -96,6 +96,23 @@ def standard_form_nu(n: float, m: float, kx: float,
     return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
 
 
+def check_canonical(params: StandardFormParams) -> None:
+    """Refuse parameters that are no admissible standard form: each must be
+    finite, n, m >= 1 and kx >= -kp >= 0, each within 1e-12.
+
+    Raises:
+        DomainError: naming the first test that failed.
+    """
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
+        raise DomainError("parameters must be finite")
+    if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
+        raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
+    if kx < -1e-12 or kp > 1e-12 or kx < -kp - 1e-12:
+        raise DomainError(
+            f"parameters not canonical (need kx >= -kp >= 0): kx={kx}, kp={kp}")
+
+
 def validate_standard_form(params: StandardFormParams) -> ValidityReport:
     """Validity of the plain standard form (n, m, kx, kp), in closed form.
 

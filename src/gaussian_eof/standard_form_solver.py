@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
-from .standard_form import StandardFormParams, validate_standard_form
+from .standard_form import (StandardFormParams, check_canonical,
+                            validate_standard_form)
 
 
 @dataclass(frozen=True)
@@ -135,35 +136,30 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
     """Solve for the squeezing factors (r1, r2) >= 1 of the reduced form.
 
     Args:
-        params: canonical standard-form parameters with n, m >= 1 and
-            kx >= -kp > 0 (not a product state).
+        params: an admissible standard form (check_canonical) with
+            kx > 0 > kp.
 
     Returns:
         SqueezingSolution carrying both constraint residuals.
 
     Raises:
+        DomainError: parameters not finite or not canonical, or
+            kx > 0 > kp fails.
         NoRoot: if the balance residual has the same sign at both ends of
             the window r1 in [1, n] on a state that is not bona fide (as for
             kx^2 > n m), or n <= 1 leaves no window; either signals invalid
             input parameters.
     """
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
-        raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
-    if kx <= 0.0 or kp >= 0.0 or kx < -kp - 1e-12:
+    check_canonical(params)
+    if not params.kx > 0.0 > params.kp:
         raise DomainError(
-            f"need kx >= -kp > 0 after canonicalization, got kx={kx}, kp={kp}")
+            f"need kx > 0 > kp, got kx={params.kx}, kp={params.kp}")
     r1 = _solve_r1(params)
-    return _finish(params, r1, _r2_of(n, m, r1))
-
-
-def _finish(params: StandardFormParams, r1: float, r2: float) -> SqueezingSolution:
-    res_ratio = _ratio_residual(params, r1, r2)
-    res_balance = _balance_residual(params, r1, r2)
-    if res_balance is None:
-        raise NoRoot("solution left the admissible sign region")
-    return SqueezingSolution(r1=r1, r2=r2, residual_ratio=res_ratio,
-                             residual_balance=res_balance)
+    r2 = _r2_of(params.n, params.m, r1)
+    # _solve_r1 returns a point whose balance residual it evaluated: not None
+    return SqueezingSolution(r1=r1, r2=r2,
+                             residual_ratio=_ratio_residual(params, r1, r2),
+                             residual_balance=_balance_residual(params, r1, r2))
 
 
 def _uncertainty_floor(a2: float) -> float:

@@ -10,16 +10,30 @@ oracle that the package itself does not use.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaussian_eof
 from gaussian_eof import (OMEGA, CriticalParams, Degenerate,
                           StandardFormParams, ValidityReport, critical_params,
                           delta0, f_aux, random_local_symplectic,
                           solve_squeezings, standard_form_nu)
 from gaussian_eof.cli import load_table1_reference
 from gaussian_eof.standard_form import TOL_PSD, _raw_cm
+
+
+def fresh_python(code, *args, timeout=None):
+    """stdout of `code` run by a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_eof.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=timeout).stdout
 
 
 def symplectic_eigenvalues(gamma):

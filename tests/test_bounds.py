@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussian_eof import (Infeasible, StandardFormParams, bounds_report, eof,
-                          f_aux, g_kappa, gaussian_eof, giovannetti_family,
-                          minimize_reduced_determinant, oliveira_upper,
-                          reduce_to_standard_params, rigolin_lower,
-                          squeezed_vacuum_cm, standard_form_nu, symmetric_eof)
+from gaussian_eof import (DomainError, Infeasible, StandardFormParams,
+                          bounds_report, eof, f_aux, g_kappa, gaussian_eof,
+                          giovannetti_family, minimize_reduced_determinant,
+                          oliveira_upper, reduce_to_standard_params,
+                          rigolin_lower, squeezed_vacuum_cm, standard_form_nu,
+                          symmetric_eof)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
 from gaussian_eof.bounds import _PSD_SIDE_TOL
@@ -409,6 +410,16 @@ def test_rigolin_lower_benchmark_cells():
 def test_rigolin_lower_symmetric_input_is_exact():
     p = StandardFormParams(2.0, 2.0, 1.2, -0.8)
     assert rigolin_lower(p) == pytest.approx(general_route_eof(p), abs=1e-10)
+
+
+@pytest.mark.parametrize("params", [
+    StandardFormParams(0.5, 2.0, 0.3, -0.2),   # n < 1, mean invariant >= 1
+    StandardFormParams(2.0, 1.5, 0.5, 0.4),    # kp > 0
+    StandardFormParams(2.0, 1.5, 0.2, -0.5)])  # kx < -kp
+def test_bounds_refuse_non_canonical(params):
+    for func in (rigolin_lower, oliveira_upper, minimize_reduced_determinant):
+        with pytest.raises(DomainError):
+            func(params)
 
 
 def test_oliveira_upper_benchmark_cells():

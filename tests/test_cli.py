@@ -1,10 +1,7 @@
 import dataclasses
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,6 +10,8 @@ import gaussian_eof
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof.cli import main
 from gaussian_eof import squeezed_vacuum_cm, standard_form_cm, StandardFormParams
+
+from conftest import fresh_python
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -165,6 +164,20 @@ def test_golden_output(capsys, case):
         case["code"], case["stdout"], case["stderr"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-family", "--nbar-min", "nan"], ["sweep-family", "--nbar-min=-inf"],
+    ["sweep-family", "--nbar-max", "inf"], ["sweep-family", "--nbar-max", "nan"],
+    ["sweep-family", "--kappa", "nan"], ["sweep-family", "--kappa", "inf"],
+    ["sweep-family", "--kappa", "0.5"], ["figure1", "--r-max", "nan"],
+    ["figure1", "--r-max", "inf"], ["figure1", "--a", "nan"],
+    ["figure1", "--a=-inf"]], ids=" ".join)
+def test_grid_argument_error_prints_no_header(capsys, argv):
+    # every argument is checked before the CSV header is written
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
+
+
 @pytest.mark.parametrize("command", ["eof", "bounds", "verify-decomposition",
                                      "validate"])
 def test_state_file_must_hold_an_object(capsys, command):
@@ -297,15 +310,6 @@ def test_unknown_command_exits_one(capsys):
     assert code == 1
 
 
-def _fresh_python(code, *args):
-    """stdout of `code` run by a new interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussian_eof.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
-
-
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency and sampling runs on one thread; every
     # command but verify-decomposition (the import, eof and bounds with
@@ -341,7 +345,7 @@ def test_import_loads_no_scipy(tmp_path):
                 ["validate", "--input", str(path), "--format", "text"],
                 ["sweep-family", "--nbar-max", "2", "--points", "3"],
                 ["figure1", "--r-max", "1", "--points", "5"]]
-    out = _fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
+    out = fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
     assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
 
 
@@ -365,7 +369,7 @@ def test_public_names_resolve():
             "    for m in sys.argv[1:])]\n"
             "print(json.dumps([unknown, numpy_after_unknown, mods, missing,\n"
             "                  foreign, sorted(vars(g)), sorted(dir(g))]))\n")
-    out = _fresh_python(code, *_SUBMODULES).strip().splitlines()[-1]
+    out = fresh_python(code, *_SUBMODULES).strip().splitlines()[-1]
     unknown, numpy_loaded, mods, missing, foreign, stored, listed = json.loads(out)
     assert not unknown and not numpy_loaded
     assert mods == {m: f"gaussian_eof.{m}" for m in _SUBMODULES}
@@ -391,7 +395,7 @@ def test_star_import_and_numpy_commands_in_a_fresh_process(tmp_path):
             "         main(['table1', '--format', 'csv']),\n"
             "         main(['validate', '--input', sys.argv[1]])]\n"
             "print(json.dumps([unbound, codes]))\n")
-    out = _fresh_python(code, str(path)).strip().splitlines()[-1]
+    out = fresh_python(code, str(path)).strip().splitlines()[-1]
     assert json.loads(out) == [[], [0, 0, 0]]
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
-                          StandardFormParams, entropy_of_spectrum, eof,
+                          StandardFormParams, bounds_report,
+                          entropy_of_spectrum, eof, gaussian_eof as g_eof,
                           eof_from_cm, f_aux, g_kappa, giovannetti_family,
                           local_rotation, local_squeeze,
                           random_local_symplectic, schmidt_coeffs_squeezed,
@@ -13,9 +14,9 @@ from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
                           validate_standard_form)
 from gaussian_eof.standard_form import TOL_PSD
 
-from conftest import (beam_splitter, general_route_eof, general_route_epr,
-                      is_bona_fide_params, is_entangled_params, near_pure_cm,
-                      two_mode_squeezer)
+from conftest import (beam_splitter, fresh_python, general_route_eof,
+                      general_route_epr, is_bona_fide_params,
+                      is_entangled_params, near_pure_cm, two_mode_squeezer)
 
 
 def pure_entropy(r):
@@ -109,6 +110,47 @@ def test_eof_rejects_non_canonical():
         eof(StandardFormParams(2.0, 2.0, 0.3, -0.5))
     with pytest.raises(DomainError):
         eof(StandardFormParams(0.9, 2.0, 0.3, -0.2))
+
+
+# (2, 1.5, 1.2, -1) with one entry replaced by NaN or +-inf
+NON_FINITE = [pytest.param(i, v, id=f"{name}={v}")
+              for i, name in enumerate(("n", "m", "kx", "kp"))
+              for v in ("nan", "inf", "-inf")]
+
+_CALL = """
+import importlib, sys
+from gaussian_eof import DomainError, StandardFormParams
+module, name, *entries = sys.argv[1:]
+func = getattr(importlib.import_module("gaussian_eof." + module), name)
+try:
+    print("returned", func(StandardFormParams(*map(float, entries))))
+except DomainError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("func", [
+    "standard_form_solver.solve_squeezings",
+    "bounds.minimize_reduced_determinant", "bounds.rigolin_lower",
+    "bounds.oliveira_upper"])
+@pytest.mark.parametrize("entry, value", NON_FINITE)
+def test_non_finite_parameters_raise(func, entry, value):
+    # a fresh interpreter per call, with a timeout: a solve that loops on a
+    # NaN bracket fails the test instead of hanging the suite
+    entries = ["2", "1.5", "1.2", "-1"]
+    entries[entry] = value
+    out = fresh_python(_CALL, *func.split("."), *entries, timeout=20)
+    assert out == "parameters must be finite\n"
+
+
+@pytest.mark.parametrize("entry, value", NON_FINITE)
+def test_non_finite_parameters_raise_in_the_pipeline(entry, value):
+    entries = [2.0, 1.5, 1.2, -1.0]
+    entries[entry] = float(value)
+    p = StandardFormParams(*entries)
+    for func in (eof, g_eof, bounds_report):
+        with pytest.raises(DomainError, match="parameters must be finite"):
+            func(p)
 
 
 def test_eof_rejects_non_bona_fide():
