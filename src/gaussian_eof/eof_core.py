@@ -135,13 +135,15 @@ def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
     an admissible standard form (check_canonical); physicality beyond
     positivity of the argument is the caller's responsibility.
     """
-    check_canonical(StandardFormParams(n=n, m=n, kx=kx, kp=kp))
     arg2 = (n - kx) * (n + kp)
+    # r before the check (arg2 > 0 keeps it from raising): one object
+    # serves the check and the report
+    r = math.sqrt((n + kp) / (n - kx)) if arg2 > 0.0 else math.nan
+    params = StandardFormParams(n, n, kx, kp, r, r)
+    check_canonical(params)
     if arg2 <= 0.0:
         raise DomainError(
             f"(n - kx)(n + kp) = {arg2} <= 0: not a positive matrix")
-    r = math.sqrt((n + kp) / (n - kx))
-    params = StandardFormParams(n=n, m=n, kx=kx, kp=kp, r1=r, r2=r)
     d0 = math.sqrt(arg2)
     epr = _SEPARABLE if d0 >= 1.0 else EprQuantities(
         a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0, separable=False)
@@ -210,6 +212,9 @@ def giovannetti_family(kappa: float, nbar: float
     n = 2.0 * (nbar + 1.0) * kappa - 1.0
     m = 2.0 * (nbar + 1.0) * kappa - (2.0 * nbar + 1.0)
     kx = 2.0 * (nbar + 1.0) * math.sqrt(kappa * (kappa - 1.0))
+    if n * m == math.inf:   # kx^2 < nm: kx overflows only if nm does
+        raise DomainError(f"the family's parameters overflow at "
+                          f"kappa = {kappa}, nbar = {nbar}")
     params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
     return params, eof(params), g_kappa(kappa)
 

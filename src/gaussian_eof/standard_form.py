@@ -52,7 +52,7 @@ class StandardFormParams:
         return abs(self.kx) < TOL_PRODUCT and abs(self.kp) < TOL_PRODUCT
 
     def with_squeezings(self, r1: float, r2: float) -> "StandardFormParams":
-        return replace(self, r1=r1, r2=r2)
+        return StandardFormParams(self.n, self.m, self.kx, self.kp, r1, r2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,7 +104,8 @@ def check_canonical(params: StandardFormParams) -> None:
         DomainError: naming the first test that failed.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
+    if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
+            and math.isfinite(kp)):
         raise DomainError("parameters must be finite")
     if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
         raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
@@ -125,7 +126,8 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
         NonFiniteEntry: if any parameter is NaN or infinite.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not all(math.isfinite(v) for v in (n, m, kx, kp)):
+    if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
+            and math.isfinite(kp)):
         raise NonFiniteEntry("standard-form parameters must be finite")
     nm = n * m
     if not (n > 0.0 and nm > kx * kx and nm > kp * kp):

@@ -31,6 +31,7 @@ class SqueezingSolution:
     r2: float
     residual_ratio: float
     residual_balance: float
+    balance_terms: float = 0.0       # scale of residual_balance's rounding
     branch: str = "general"          # always "general": the only solve path
     multiple_brackets: bool = False  # always False: one bracket, one root
 
@@ -46,38 +47,50 @@ class CriticalParams:
     b0: float
 
 
-def _r2_of(n: float, m: float, r1: float) -> float:
-    """The positive root r2 of the ratio constraint at fixed r1 in [1, n].
+def _balance_kernel(n: float, m: float, kx: float, kp: float):
+    """The balance residual of the state (n, m, kx, kp) as a function of r1.
 
-    With big = n r1 - 1 and small = n/r1 - 1 the constraint is the quadratic
-    small m r2^2 + (big - small) r2 - big m = 0.  On the window the product
-    of its roots, -big/small, is negative, so exactly one root is positive;
-    it runs from r2 = 1 at r1 = 1 to r2 = m at r1 = n.
+    balance(r1) is |s kx| - |kp/s| - (sqrt(t1) - sqrt(t2)), with
+    s = sqrt(r1 r2), t1 = (n r1 - 1)(m r2 - 1) and t2 = (n/r1 - 1)(m/r2 - 1),
+    at r2 = r2(r1), the positive root of the ratio constraint: with
+    big = n r1 - 1 and small = n/r1 - 1 that is the quadratic
+    small m r2^2 + (big - small) r2 - big m = 0, whose roots have the
+    negative product -big/small on the window [1, n]; the positive one runs
+    from r2 = 1 at r1 = 1 to r2 = m at r1 = n.  balance(r1, True) returns
+    (r2, ratio residual, balance residual, balance terms), the terms
+    scaling the residual's rounding: |s kx| + |kp/s|, and sqrt(t1) and
+    sqrt(t2) weighted by the condition of their factors, infinite where t1
+    or t2 is 0 (as at r1 = n).  Raises NoRoot where t2 < -1e-12, off the
+    solution manifold.
     """
-    big = n * r1 - 1.0
-    small = n / r1 - 1.0
-    aq, bq, cq = small * m, big - small, -big * m
-    q = -0.5 * (bq + math.sqrt(bq * bq - 4.0 * aq * cq))
-    return cq / q
+    def balance(r1, full=False):
+        big, small = n * r1 - 1.0, n / r1 - 1.0
+        bq, cq = big - small, -big * m
+        q = -0.5 * (bq + math.sqrt(bq * bq - 4.0 * (small * m) * cq))
+        r2 = cq / q
+        big2, small2 = m * r2 - 1.0, m / r2 - 1.0
+        t2 = small * small2
+        if t2 < -1e-12:
+            raise NoRoot(f"balance residual undefined at r1 = {r1}")
+        t1 = (0.0 if big < 0.0 else big) * (0.0 if big2 < 0.0 else big2)
+        s = math.sqrt(r1 * r2)
+        sx, sp = abs(s * kx), abs(kp / s)
+        st1, st2 = math.sqrt(t1), math.sqrt(0.0 if t2 < 0.0 else t2)
+        residual = sx - sp - (st1 - st2)
+        if not full:
+            return residual
+        # a factor x - 1 of t carries an error of about eps (x + 1), which
+        # sqrt(t) passes on times the other factor over 2 sqrt(t)
+        e1 = ((big2 * (n * r1 + 1.0) + big * (m * r2 + 1.0)) / (2.0 * st1)
+              if st1 else math.inf)
+        e2 = ((small2 * (n / r1 + 1.0) + small * (m / r2 + 1.0)) / (2.0 * st2)
+              if st2 else math.inf)
+        return r2, big * small2 - small * big2, residual, sx + sp + e1 + e2
+
+    return balance
 
 
-def _balance_residual(params: StandardFormParams, r1: float, r2: float) -> float | None:
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    s = math.sqrt(r1 * r2)
-    t1 = max(n * r1 - 1.0, 0.0) * max(m * r2 - 1.0, 0.0)
-    t2 = (n / r1 - 1.0) * (m / r2 - 1.0)
-    if t2 < -1e-12:
-        return None  # incompatible signs: not on the solution manifold
-    t2 = max(t2, 0.0)
-    return abs(s * kx) - abs(kp / s) - (math.sqrt(t1) - math.sqrt(t2))
-
-
-def _ratio_residual(params: StandardFormParams, r1: float, r2: float) -> float:
-    n, m = params.n, params.m
-    return (n * r1 - 1.0) * (m / r2 - 1.0) - (n / r1 - 1.0) * (m * r2 - 1.0)
-
-
-def _solve_r1(params: StandardFormParams) -> float:
+def _solve_r1(params: StandardFormParams, balance) -> float:
     """Root of the balance residual in r1 on [1, n], by Illinois regula falsi.
 
     The residual is kx + kp >= 0 at r1 = 1.  Each step evaluates the secant
@@ -93,18 +106,11 @@ def _solve_r1(params: StandardFormParams) -> float:
     by a margin of the tolerance's size; the window end r1 = n is then
     returned.
     """
-    n, m = params.n, params.m
-
-    def residual(r1):
-        val = _balance_residual(params, r1, _r2_of(n, m, r1))
-        if val is None:
-            raise NoRoot(f"balance residual undefined at r1 = {r1}")
-        return val
-
+    n = params.n
     if n <= 1.0:
         raise NoRoot(f"the r1 window [1, n] is empty at n = {n}")
     lo, hi = 1.0, n
-    f_lo, f_hi = residual(lo), residual(hi)
+    f_lo, f_hi = balance(lo), balance(hi)
     if f_lo * f_hi > 0.0:
         if validate_standard_form(params).is_bona_fide:
             return hi
@@ -118,7 +124,7 @@ def _solve_r1(params: StandardFormParams) -> float:
             x = 0.5 * (lo + hi)
             if x in (lo, hi):
                 break
-        f_x = residual(x)
+        f_x = balance(x)
         if (f_x < 0.0) == (f_lo < 0.0):
             lo, f_lo, w_lo = x, f_x, f_x
             if last < 0:
@@ -154,12 +160,9 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
     if not params.kx > 0.0 > params.kp:
         raise DomainError(
             f"need kx > 0 > kp, got kx={params.kx}, kp={params.kp}")
-    r1 = _solve_r1(params)
-    r2 = _r2_of(params.n, params.m, r1)
-    # _solve_r1 returns a point whose balance residual it evaluated: not None
-    return SqueezingSolution(r1=r1, r2=r2,
-                             residual_ratio=_ratio_residual(params, r1, r2),
-                             residual_balance=_balance_residual(params, r1, r2))
+    balance = _balance_kernel(params.n, params.m, params.kx, params.kp)
+    r1 = _solve_r1(params, balance)
+    return SqueezingSolution(r1, *balance(r1, True))
 
 
 def _uncertainty_floor(a2: float) -> float:
@@ -177,13 +180,16 @@ def critical_params(params: StandardFormParams,
     consistency check of the solve.  The check holds the ratio residual to
     1e-13 of the sum of its terms, its rounding error: next to the vacuum
     m/r2 - 1 and n/r1 - 1 are differences of nearly equal numbers, and
-    their quotient has no digits to compare.
+    their quotient has no digits to compare.  The balance residual, which
+    pins r1, is held to 1e-12 of sol.balance_terms; those are infinite at
+    the window end r1 = n, which the check thus exempts.
 
     Raises:
         Degenerate: pure-state limit n r1 - 1 <= 1e-12 (a0 indeterminate;
             callers fall back to a0 = 1), or a0^2 so far from 1 that the
             floor b0 rounds to 1.
-        InvalidState: if (r1, r2) does not satisfy the ratio constraint.
+        InvalidState: if (r1, r2) does not satisfy the ratio or the balance
+            constraint.
     """
     n, m, r1, r2 = params.n, params.m, sol.r1, sol.r2
     den = n * r1 - 1.0
@@ -191,11 +197,15 @@ def critical_params(params: StandardFormParams,
     if den <= 1e-12 or num <= 1e-12:
         raise Degenerate("pure-state limit: critical parameter indeterminate")
     a0sq = math.sqrt(num / den)
-    residual = _ratio_residual(params, r1, r2)
     terms = (n * r1 + 1.0) * (m / r2 + 1.0) + (n / r1 + 1.0) * (m * r2 + 1.0)
-    if abs(residual) > 1e-13 * terms:
+    if abs(sol.residual_ratio) > 1e-13 * terms:
         raise InvalidState(f"critical-parameter consistency check failed: "
-                           f"ratio residual {residual} against terms {terms}")
+                           f"ratio residual {sol.residual_ratio} against "
+                           f"terms {terms}")
+    if abs(sol.residual_balance) > 1e-12 * sol.balance_terms:
+        raise InvalidState(f"critical-parameter consistency check failed: "
+                           f"balance residual {sol.residual_balance} against "
+                           f"terms {sol.balance_terms}")
     b0 = _uncertainty_floor(a0sq)
     if b0 >= 1.0:
         raise Degenerate(

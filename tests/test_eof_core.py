@@ -12,6 +12,7 @@ from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
                           squeezed_thermal_eof, squeezed_vacuum_cm,
                           standard_form_nu, symmetric_eof,
                           validate_standard_form)
+from gaussian_eof import eof_core
 from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (beam_splitter, fresh_python, general_route_eof,
@@ -417,6 +418,14 @@ def test_giovannetti_mixed_member_two_routes():
     assert report.eof == pytest.approx(1.702893188821817, abs=1e-12)
 
 
+def test_giovannetti_overflow_is_a_domain_error():
+    # kx = 2(nbar + 1) sqrt(kappa(kappa - 1)) overflows at kappa = 1e200,
+    # and n m at nbar = 1e300
+    for kappa, nbar in ((1e200, 0.0), (1e200, 50.0), (2.0, 1e300)):
+        with pytest.raises(DomainError, match="parameters overflow at kappa"):
+            giovannetti_family(kappa, nbar)
+
+
 def test_giovannetti_below_gain_entropy():
     for nbar in (0.5, 2.0, 10.0, 50.0):
         _, report, g = giovannetti_family(2.0, nbar)
@@ -437,6 +446,21 @@ def test_pure_pipeline_matches_fock_oracle():
     pipeline = eof(StandardFormParams(c, c, s, -s)).eof
     oracle = entropy_of_spectrum(schmidt_coeffs_squeezed(r, 400))
     assert pipeline == pytest.approx(oracle, abs=1e-10)
+
+
+def test_eof_calls_each_stage_once_through_its_binding(monkeypatch):
+    # the stages a traced benchmark run times under eof(): each is called
+    # once, through the eof_core binding, on a general-route state
+    p = StandardFormParams(2.0, 1.5, 1.2, -1.0)
+    calls = {}
+    for name in ("solve_squeezings", "critical_params", "delta0", "f_aux"):
+        def counted(*args, _name=name, _stage=getattr(eof_core, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _stage(*args)
+        monkeypatch.setattr(eof_core, name, counted)
+    assert eof(p).method == "general"
+    assert calls == {"solve_squeezings": 1, "critical_params": 1,
+                     "delta0": 1, "f_aux": 1}
 
 
 def test_report_serialization():

@@ -1,13 +1,16 @@
+import importlib.util
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaussian_eof import (CriticalParams, Degenerate, DomainError,
                           InvalidState, NoRoot, SqueezingSolution, StandardFormParams,
-                          critical_params, eof, solve_squeezings,
-                          standard_form_nu, standard_form_solver,
-                          validate_standard_form)
+                          critical_params, eof, reduce_to_standard_params,
+                          solve_squeezings, standard_form_nu,
+                          standard_form_solver, validate_standard_form)
 
 from conftest import (is_bona_fide_params, is_entangled_params,
                       random_entangled_params)
@@ -160,12 +163,13 @@ def test_random_states_residuals_and_bounds():
             checked += 1
 
 
-_BALANCE = standard_form_solver._balance_residual
-
-
 def _library_residual(p, r1):
-    """The solver's balance residual along its r2(r1), as _solve_r1 sees it."""
-    return _BALANCE(p, r1, standard_form_solver._r2_of(p.n, p.m, r1))
+    """The solver's balance residual at r1, as _solve_r1 sees it; None
+    where the kernel refuses r1."""
+    try:
+        return standard_form_solver._balance_kernel(p.n, p.m, p.kx, p.kp)(r1)
+    except NoRoot:
+        return None
 
 
 def _bisection_r1(p):
@@ -197,29 +201,37 @@ def _harsh_invariant(rng):
     return 10.0 ** rng.uniform(0.0, 5.0)
 
 
-def test_root_finder_calls_and_agreement(monkeypatch):
-    # bona fide general-route states (n != m, kx != -kp), n and m from
-    # _harsh_invariant; the correlation kx spans five decades below
-    # sqrt(nm) so that states near the vacuum stay bona fide
-    rng = np.random.default_rng(79)
+def _harsh_states(seed=79, count=1500):
+    """Bona fide general-route states (n != m, kx != -kp), n and m from
+    _harsh_invariant; the correlation kx spans five decades below
+    sqrt(nm) so that states near the vacuum stay bona fide."""
+    rng = np.random.default_rng(seed)
     states = []
-    while len(states) < 1500:
+    while len(states) < count:
         n, m = _harsh_invariant(rng), _harsh_invariant(rng)
         kx = math.sqrt(n * m) * 10.0 ** rng.uniform(-5.0, 0.0)
         p = StandardFormParams(n, m, kx, -kx * rng.uniform(0.02, 0.98))
         if validate_standard_form(p).is_bona_fide:
             states.append(p)
+    return states
+
+
+def test_root_finder_calls_and_agreement():
     calls = []
 
-    def counted(*args):
-        calls[-1] += 1
-        return _BALANCE(*args)
+    def counted(p):
+        """The state's kernel, counting its evaluations in calls[-1]."""
+        kernel = standard_form_solver._balance_kernel(p.n, p.m, p.kx, p.kp)
 
-    monkeypatch.setattr(standard_form_solver, "_balance_residual", counted)
+        def balance(r1, full=False):
+            calls[-1] += 1
+            return kernel(r1, full)
+        return balance
+
     compared = 0
-    for p in states:
+    for p in _harsh_states():
         calls.append(0)
-        r1 = standard_form_solver._solve_r1(p)
+        r1 = standard_form_solver._solve_r1(p, counted(p))
         assert 1.0 <= r1 <= p.n
         # r1 is a floating-point root: zero residual, or a sign change
         # between r1 and an adjacent float
@@ -238,6 +250,113 @@ def test_root_finder_calls_and_agreement(monkeypatch):
     assert compared >= 500
     assert np.median(calls) <= 20
     assert max(calls) <= 60
+
+
+# The three-call residual path that standard_form_solver._balance_kernel
+# replaced, kept verbatim as the reference the kernel must match bit for bit.
+
+def _reference_r2_of(n, m, r1):
+    big = n * r1 - 1.0
+    small = n / r1 - 1.0
+    aq, bq, cq = small * m, big - small, -big * m
+    q = -0.5 * (bq + math.sqrt(bq * bq - 4.0 * aq * cq))
+    return cq / q
+
+
+def _reference_balance_residual(params, r1, r2):
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    s = math.sqrt(r1 * r2)
+    t1 = max(n * r1 - 1.0, 0.0) * max(m * r2 - 1.0, 0.0)
+    t2 = (n / r1 - 1.0) * (m / r2 - 1.0)
+    if t2 < -1e-12:
+        return None  # incompatible signs: not on the solution manifold
+    t2 = max(t2, 0.0)
+    return abs(s * kx) - abs(kp / s) - (math.sqrt(t1) - math.sqrt(t2))
+
+
+def _reference_solve_r1(params):
+    n, m = params.n, params.m
+
+    def residual(r1):
+        val = _reference_balance_residual(params, r1, _reference_r2_of(n, m, r1))
+        if val is None:
+            raise NoRoot(f"balance residual undefined at r1 = {r1}")
+        return val
+
+    if n <= 1.0:
+        raise NoRoot(f"the r1 window [1, n] is empty at n = {n}")
+    lo, hi = 1.0, n
+    f_lo, f_hi = residual(lo), residual(hi)
+    if f_lo * f_hi > 0.0:
+        if validate_standard_form(params).is_bona_fide:
+            return hi
+        raise NoRoot("balance residual has no sign change on the r1 bracket; "
+                     "input parameters do not describe a reducible state")
+    w_lo, w_hi = f_lo, f_hi
+    last = 0
+    while f_lo != 0.0 and f_hi != 0.0:
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):
+                break
+        f_x = residual(x)
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo, w_lo = x, f_x, f_x
+            if last < 0:
+                w_hi *= 0.5
+            last = -1
+        else:
+            hi, f_hi, w_hi = x, f_x, f_x
+            if last > 0:
+                w_lo *= 0.5
+            last = 1
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def _reference_solution(p):
+    r1 = _reference_solve_r1(p)
+    r2 = _reference_r2_of(p.n, p.m, r1)
+    return (r1, r2, _ratio_residual(p, r1, r2),
+            _reference_balance_residual(p, r1, r2))
+
+
+def _window_end_states(seed=83, count=40):
+    """States bona fide only within TOL_PSD whose root lies beyond r1 = n:
+    n 1e-11..1e-9 above the vacuum, nu_- just below 1."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        n = 1.0 + 10.0 ** rng.uniform(-11.0, -9.0)
+        m = 10.0 ** rng.uniform(0.0, 2.0)
+        kx = 10.0 ** rng.uniform(-6.0, -4.0)
+        p = StandardFormParams(n, m, kx, -kx * rng.uniform(0.2, 0.8))
+        if (validate_standard_form(p).is_bona_fide
+                and standard_form_nu(p.n, p.m, p.kx, p.kp)[0] < 1.0
+                and _reference_solve_r1(p) == p.n):
+            states.append(p)
+    return states
+
+
+def test_kernel_matches_the_three_call_path_bit_for_bit():
+    rng = np.random.default_rng(89)
+    general = [random_entangled_params(rng, n_hi=50.0) for _ in range(500)]
+    window_end = _window_end_states()
+    for p in general + _harsh_states() + window_end:
+        sol = solve_squeezings(p)
+        got = (sol.r1, sol.r2, sol.residual_ratio, sol.residual_balance)
+        assert got == _reference_solution(p), p
+    assert all(solve_squeezings(p).r1 == p.n for p in window_end)
+    no_root = [StandardFormParams(2.0, 1.5, 1.9, -0.1),
+               StandardFormParams(1.0, 3.0, 0.5, -0.2),
+               StandardFormParams(1.0 - 5e-13, 2.0, 0.3, -0.1)]
+    no_root += [StandardFormParams(n, m, 1.01 * math.sqrt(n * m), -0.1)
+                for n, m in 1.0 + np.exp(rng.uniform(-3.0, 3.0, (20, 2)))]
+    for p in no_root:
+        with pytest.raises(NoRoot) as want:
+            _reference_solution(p)
+        with pytest.raises(NoRoot, match=f"^{re.escape(str(want.value))}$"):
+            solve_squeezings(p)
 
 
 def test_eof_continuous_across_closed_form_switches():
@@ -334,9 +453,53 @@ def test_critical_params_next_to_the_vacuum():
         assert 0.0 < eof(q).eof < 1e-8
     for q in (p, StandardFormParams(2.0, 1.5, 1.0, -0.7)):
         sol = solve_squeezings(q)
-        wrong = SqueezingSolution(sol.r1, 1.0 / sol.r2, 0.0, 0.0)
+        r2 = 1.0 / sol.r2   # with the ratio residual a solve would report
+        wrong = SqueezingSolution(sol.r1, r2, _ratio_residual(q, sol.r1, r2),
+                                  0.0)
         with pytest.raises(InvalidState, match="consistency check"):
             critical_params(q, wrong)
+
+
+def test_critical_params_refuses_a_wrong_r1(monkeypatch):
+    # a solve that returns (1 + r1)/2: r2 follows r1 through the ratio
+    # constraint, so only the balance residual shows that r1 is wrong
+    rng = np.random.default_rng(97)
+    states = [random_entangled_params(rng, n_hi=50.0) for _ in range(200)]
+    solve_r1 = standard_form_solver._solve_r1
+    monkeypatch.setattr(standard_form_solver, "_solve_r1",
+                        lambda p, balance: 0.5 * (1.0 + solve_r1(p, balance)))
+    for p in states:
+        with pytest.raises(InvalidState, match="balance residual"):
+            critical_params(p, solve_squeezings(p))
+
+
+def _perfbench_inputs():
+    """The benchmark's seeded input generator, perfbench/inputs.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, module.load_table1(path.parents[1])
+
+
+def test_critical_params_refuses_no_solve():
+    # the benchmark's batch-eof and bounds-sweep inputs (seeds 1-3), the
+    # harsh states and the window-end states all pass both checks
+    inputs, table1 = _perfbench_inputs()
+    states = [reduce_to_standard_params(item["raw"])
+              for seed in (1, 2, 3) for item in inputs.batch_eof(seed)]
+    states += [StandardFormParams(*item["state"]) for seed in (1, 2, 3)
+               for item in inputs.bounds_sweep(seed, table1)]
+    states += _harsh_states() + _window_end_states()
+    checked = 0
+    for p in states:
+        if p.kx > 0.0 > p.kp:
+            try:
+                critical_params(p, solve_squeezings(p))
+            except Degenerate:
+                pass
+            checked += 1
+    assert checked >= 5000
 
 
 def test_critical_params_degenerate_limit():
