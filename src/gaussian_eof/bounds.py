@@ -2,13 +2,15 @@
 
 The Gaussian EOF minimizes the entanglement of pure Gaussian states whose
 CM sits below the target state's CM.  Writing the pure-state x-block as
-Gamma = [[x0+x3, x1], [x1, x0-x3]], the optimum touches both constraints
-det(C_x - Gamma) = 0 and det(Gamma - C_p^{-1}) = 0, where C_x and C_p are
-the x and p blocks of the standard-form CM.  At fixed x1 the two touching
-conditions are rectangular hyperbolas in (x0+x3, x0-x3) whose intersection
-lies on a line, so the feasible points are roots of a single quadratic;
-the remaining one-dimensional problem in x1 is scanned coarsely and
-polished by Brent's parabolic minimization, in scalar arithmetic.
+Gamma = [[x0+x3, x1], [x1, x0-x3]], its p-block is Gamma^{-1}, so the
+constraint reads C_p^{-1} <= Gamma <= C_x, where C_x and C_p are the x and
+p blocks of the standard-form CM.  Some Gamma satisfies it exactly when
+K = C_x - C_p^{-1} is PSD, which by the Schur complement holds for every
+bona fide state.  The optimum touches both ends, Gamma - C_p^{-1} and
+C_x - Gamma of rank one, and those Gammas form one ellipse in the angle
+theta (see minimize_reduced_determinant), on which the objective
+1 + x1^2 / det Gamma is smooth.  It is scanned coarsely and polished by
+Brent's parabolic minimization, in scalar arithmetic.
 """
 
 import math
@@ -21,8 +23,7 @@ from .standard_form import (StandardFormParams, check_canonical,
 
 SCAN_POINTS = 16
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_PSD_SIDE_TOL = 1e-11
-_VACUUM_TOL = 1e-13   # det(C_x - C_p^-1) <= this * aD: nu_- = 1, take the double root
+_VACUUM_TOL = 1e-13   # |det K| <= this * K11 K22: nu_- = 1, K has rank one
 SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
 
@@ -43,10 +44,11 @@ class GammaCandidate:
 
     def constraint_residuals(self, params: StandardFormParams) -> tuple[float, float]:
         """det(C_x - Gamma) and det(Gamma - C_p^{-1}), both 0 at a touching point."""
-        cx11, cx22, kx, p11, p22, p12 = _scan_coefficients(params)
-        u, v, x1 = self.x0 + self.x3, self.x0 - self.x3, self.x1
-        return ((cx11 - u) * (cx22 - v) - (kx - x1) ** 2,
-                (u - p11) * (v - p22) - (x1 - p12) ** 2)
+        (p11, p22, p12), (k11, k22, k12) = _blocks(params)
+        du, dv = self.x0 + self.x3 - p11, self.x0 - self.x3 - p22
+        dx = self.x1 - p12
+        ex = k12 - dx
+        return (k11 - du) * (k22 - dv) - ex * ex, du * dv - dx * dx
 
 
 @dataclass(frozen=True)
@@ -62,158 +64,95 @@ class BoundsReport:
         return asdict(self)
 
 
-def _candidates_at_x1(x1, cx11, cx22, kx, p11, p22, p12, double_root=False):
-    """Lowest-objective feasible (u, v, objective) at fixed x1, u/v = x0 +/- x3.
-
-    The two touching conditions are (cx11 - u)(cx22 - v) = (kx - x1)^2 and
-    (u - p11)(v - p22) = (x1 - p12)^2; subtracting them shows all
-    intersections lie on a line, leaving a quadratic a u^2 - b u + c = 0,
-    a = cx22 - p22.  With D = cx11 - p11 its discriminant factors as
-    det(C_x - C_p^{-1}) (aD - (kx + p12 - 2 x1)^2).  At nu_- = 1 the first
-    factor is rounding noise of either sign: C_x - C_p^{-1} has rank one,
-    the feasible Gammas form a segment, and double_root takes the double
-    root.  Returns None where no root is feasible.
-    """
-    dx = kx - x1
-    dp = x1 - p12
-    alpha2 = dx * dx
-    beta2 = dp * dp
-    a_coef = cx22 - p22
-    den = cx11 - p11
-    b_coef = a_coef * (cx11 + p11) - alpha2 + beta2
-    c_coef = p11 * a_coef * cx11 - p11 * alpha2 + beta2 * cx11
-    if abs(a_coef) < 1e-14:
-        roots = (c_coef / b_coef,) if abs(b_coef) > 1e-14 else ()
-    elif double_root:
-        roots = (0.5 * b_coef / a_coef,)
-    else:
-        # b^2 - 4ac, factored so that it does not cancel where the roots meet
-        ad = a_coef * den
-        disc = (ad - (kx - p12) ** 2) * (ad - (kx + p12 - 2.0 * x1) ** 2)
-        if disc < 0.0:
-            return None
-        sq = math.sqrt(disc)
-        q = 0.5 * (b_coef + sq) if b_coef >= 0.0 else 0.5 * (b_coef - sq)
-        roots = (q / a_coef,) if q == 0.0 else (q / a_coef, c_coef / q)
-    best = None
-    for u in roots:
-        if abs(den) > 1e-12:
-            v = (-a_coef * u + (cx11 * cx22 - alpha2)
-                 - (p11 * p22 - beta2)) / den
-        else:
-            du = cx11 - u
-            if abs(du) < 1e-14:
-                continue
-            v = cx22 - alpha2 / du
-        if u <= 0.0 or v <= 0.0:
-            continue
-        det_g = u * v - x1 * x1
-        if det_g <= 0.0:
-            continue
-        # touching from the feasible side: the singular difference matrices
-        # must be PSD, i.e. their diagonals non-negative
-        if (cx11 - u) < -_PSD_SIDE_TOL or (cx22 - v) < -_PSD_SIDE_TOL:
-            continue
-        if (u - p11) < -_PSD_SIDE_TOL or (v - p22) < -_PSD_SIDE_TOL:
-            continue
-        obj = 1.0 + x1 * x1 / det_g
-        if best is None or obj < best[2]:
-            best = (u, v, obj)
-    return best
-
-
-def _scan_coefficients(params: StandardFormParams) -> tuple[float, ...]:
-    """(cx11, cx22, kx, p11, p22, p12): C_x entries and C_p^{-1} entries."""
+def _blocks(params: StandardFormParams) -> tuple[tuple[float, ...], ...]:
+    """Entries (11, 22, 12) of C_p^{-1} and of K = C_x - C_p^{-1}."""
     n, m, kx, kp = (float(params.n), float(params.m), float(params.kx),
                     float(params.kp))
     det_p = n * m - kp * kp
-    return n, m, kx, m / det_p, n / det_p, -kp / det_p
+    p11, p22, p12 = m / det_p, n / det_p, -kp / det_p
+    return (p11, p22, p12), (n - p11, m - p22, kx - p12)
 
 
-def _feasible_edge(coefs, out, inside, cand):
-    """Bisect from an infeasible x1 `out` to a feasible `inside` (whose
-    _candidates_at_x1 triple is cand) until they are 1e-12 relative apart;
-    returns the last feasible x1 and its triple."""
-    while abs(inside - out) > 1e-12 * max(1.0, abs(inside)):
-        mid = 0.5 * (out + inside)
-        c = _candidates_at_x1(mid, *coefs)
-        if c is None:
-            out = mid
-        else:
-            inside, cand = mid, c
-    return inside, cand
+def _gamma(theta, ellipse):
+    """Entries (11, 22, 12) of Gamma(theta) = C_p^{-1} + y y^T, y = S w.
+
+    (I + R(theta)) / 2 = w w^T with w = (cos, sin)(theta / 2), so no entry
+    is a difference of the large terms of K and S R S, which cancel where
+    Gamma nears C_p^{-1}.
+    """
+    p11, p22, p12, s11, s22, s12 = ellipse
+    c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    y1, y2 = s11 * c + s12 * sn, s12 * c + s22 * sn
+    return p11 + y1 * y1, p22 + y2 * y2, p12 + y1 * y2
 
 
-def minimize_reduced_determinant(params: StandardFormParams,
-                                 n_scan: int = SCAN_POINTS
+def _objective(theta, ellipse):
+    """1 + x1^2 / det Gamma(theta)."""
+    u, v, x1 = _gamma(theta, ellipse)
+    return 1.0 + x1 * x1 / (u * v - x1 * x1)
+
+
+def minimize_reduced_determinant(params: StandardFormParams
                                  ) -> tuple[float, GammaCandidate]:
-    """Minimize det of the reduced pure-state CM over the touching variety.
+    """Minimize det of the reduced pure-state CM over the touching ellipse.
 
-    Scans the midpoints of n_scan equal cells of the x1 range (within
-    [-kx, kx]) where the touching quadratic has real roots, and polishes
-    the best by Brent's localmin (successive parabolic interpolation,
-    golden-section steps where a parabola is refused) to 1e-12 relative.
-    The neighbouring scan points close the bracket; past the first or last
-    point a range end closes it, and an infeasible neighbour is replaced by
-    the feasibility edge bisected between them.  At a range end the two
-    roots meet, so the objective moves as the square root of the distance
-    to it, and the minimum usually sits just inside: the polish runs in
-    s = sqrt(|x1 - origin|), origin being such an edge where the bracket
-    has one, in which the objective is smooth.  At nu_- = 1,
-    det(C_x - C_p^{-1}) = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p vanishes, to
-    rounding (_VACUUM_TOL aD) that standard_form_nu cannot resolve at large
-    n, and the quadratic's double root is taken.  The result is never
-    above the best scan point.
+    With K = C_x - C_p^{-1}, S = sqrt(K) = (K + sqrt(det K) I) /
+    sqrt(tr K + 2 sqrt(det K)) and the reflection R(theta) =
+    [[cos, sin], [sin, -cos]], the pure-state blocks touching both
+    constraints are Gamma(theta) = C_p^{-1} + (K + S R(theta) S) / 2: both
+    Gamma - C_p^{-1} and C_x - Gamma are then rank-one PSD.  Scans the
+    2 SCAN_POINTS angles at which x1(theta) = c + a cos(theta - phi) takes
+    the midpoints of SCAN_POINTS equal cells of its range (within
+    [-kx, kx]), on both halves of the ellipse, and polishes the best by
+    Brent's localmin between its neighbouring angles, around the ellipse.
+    The scan points crowd towards the ends of the x1 range, where the
+    objective can have a narrow basin.  At nu_- = 1, K has rank one and
+    det K = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p is rounding noise that
+    standard_form_nu cannot resolve at large n; within _VACUUM_TOL K11 K22
+    it is taken as 0, S = K / sqrt(tr K), and the ellipse is a segment
+    traversed twice, with no separate path.  The result is never above the
+    best scan point.
 
     Raises:
         DomainError: parameters not finite or not canonical.
-        Infeasible: no parameter point satisfies both constraints with a
-            positive-definite Gamma (separable or invalid input).
+        Infeasible: K is not PSD beyond _VACUUM_TOL, which by the Schur
+            complement means the state is not bona fide.
     """
     check_canonical(params)
-    cx11, cx22, kx, p11, p22, p12 = coefs = _scan_coefficients(params)
-    ad = (cx22 - p22) * (cx11 - p11)
-    coefs += (ad - (kx - p12) ** 2 <= _VACUUM_TOL * ad,)
-    # real roots: |2 x1 - kx - p12| <= sqrt(aD), i.e. [p12, kx] at nu_- = 1
-    half, mid = 0.5 * math.sqrt(max(ad, 0.0)), 0.5 * (kx + p12)
-    lo, hi = max(-kx, mid - half), min(kx, mid + half)
-    step = (hi - lo) / max(n_scan, 1)
-    xs = [lo + (i + 0.5) * step for i in range(n_scan)]
-    scan = [_candidates_at_x1(x1, *coefs) for x1 in xs]
-    feasible = [i for i, cand in enumerate(scan) if cand is not None]
-    if not feasible:
-        raise Infeasible("no feasible touching point; state separable or invalid")
-    i0 = min(feasible, key=lambda i: scan[i][2])
-    x, cand = xs[i0], scan[i0]
-    ends, edges = [lo, hi], [True, True]
-    for k, j in enumerate((i0 - 1, i0 + 1)):
-        if 0 <= j < n_scan and scan[j] is not None:
-            ends[k], edges[k] = xs[j], False
-        elif 0 <= j < n_scan:
-            ends[k], edge = _feasible_edge(coefs, xs[j], xs[i0], scan[i0])
-            if edge[2] < cand[2]:
-                x, cand = ends[k], edge
-    origin, far = ends[::-1] if edges[1] and not edges[0] else ends
-    sign = 1.0 if far >= origin else -1.0
-    s_star, polished = _brent_polish(
-        lambda s: _candidates_at_x1(origin + sign * s * s, *coefs), 0.0,
-        math.sqrt(abs(far - origin)), math.sqrt(abs(x - origin)), cand[2])
-    if polished is not None:
-        x, cand = origin + sign * s_star * s_star, polished
-    u, v, m_opt = cand
-    return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=x, x3=0.5 * (u - v))
+    (p11, p22, p12), (k11, k22, k12) = _blocks(params)
+    det_k, scale = k11 * k22 - k12 * k12, _VACUUM_TOL * k11 * k22
+    if k11 < 0.0 or k22 < 0.0 or det_k < -scale:
+        raise Infeasible("no pure state below the CM: C_x - C_p^-1 is not PSD")
+    root = math.sqrt(det_k) if det_k > scale else 0.0
+    # `or 1.0`: K = 0 only at a pure state, whose ellipse is the point C_p^{-1}
+    norm = math.sqrt(k11 + k22 + 2.0 * root) or 1.0
+    s11, s22, s12 = (k11 + root) / norm, (k22 + root) / norm, k12 / norm
+    ellipse = (p11, p22, p12, s11, s22, s12)
+    # x1(theta) = center + xc cos(theta) + xs sin(theta)
+    center = p12 + 0.5 * k12
+    xc, xs = 0.5 * s12 * (s11 - s22), 0.5 * (s11 * s22 + s12 * s12)
+    amp, phi = math.hypot(xc, xs) or 1.0, math.atan2(xs, xc)
+    kx = float(params.kx)
+    lo, hi = max(-kx, center - amp), min(kx, center + amp)
+    step = (hi - lo) / SCAN_POINTS
+    psis = [math.acos(max(-1.0, min(1.0, (x - center) / amp)))
+            for x in (lo + (i + 0.5) * step for i in range(SCAN_POINTS))]
+    thetas = [phi - psi for psi in psis] + [phi + psi for psi in psis[::-1]]
+    objs = [_objective(theta, ellipse) for theta in thetas]
+    i0 = min(range(len(thetas)), key=objs.__getitem__)
+    ring = [thetas[-1] - 2.0 * math.pi, *thetas, thetas[0] + 2.0 * math.pi]
+    theta, m_opt = _brent_polish(lambda t: _objective(t, ellipse), ring[i0],
+                                 ring[i0 + 2], thetas[i0], objs[i0])
+    u, v, x1 = _gamma(theta, ellipse)
+    return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=x1, x3=0.5 * (u - v))
 
 
-def _brent_polish(trial, a, b, x, fx):
-    """Brent's localmin of trial(s)[2] on [a, b] from x, whose value is fx.
+def _brent_polish(f, a, b, x, fx):
+    """Brent's localmin of f on [a, b] from x, whose value is fx.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    trial returns a _candidates_at_x1 triple or None where no point is
-    feasible, whose objective counts as inf, so a parabola is fitted only
-    through finite values.  Returns the final point and its triple, or None
-    in place of the triple when no trial point improved on fx.
+    Stops at 1e-12 max(1, |x|) and returns the best point and its value.
     """
-    cand = None
     w = v = x
     fw = fv = fx
     d = e = 0.0
@@ -222,9 +161,9 @@ def _brent_polish(trial, a, b, x, fx):
         tol1 = 1e-12 * max(1.0, abs(x))
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, cand
+            return x, fx
         p = q = r = 0.0
-        if abs(e) > tol1 and fw < math.inf and fv < math.inf:
+        if abs(e) > tol1:
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
             p = (x - v) * q - (x - w) * r
@@ -243,15 +182,14 @@ def _brent_polish(trial, a, b, x, fx):
             e = (b - x) if x < mid else (a - x)
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        cu = trial(u)
-        fu = math.inf if cu is None else cu[2]
+        fu = f(u)
         if fu <= fx:
             if u < x:
                 b = x
             else:
                 a = x
             v, fv, w, fw = w, fw, x, fx
-            x, fx, cand = u, fu, cu
+            x, fx = u, fu
         else:
             if u < x:
                 a = u

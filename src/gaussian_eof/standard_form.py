@@ -91,7 +91,8 @@ def standard_form_nu(n: float, m: float, kx: float,
     """
     delta = n * n + m * m + 2.0 * kx * kp
     det = (n * m - kx * kx) * (n * m - kp * kp)
-    disc = (n * n - m * m) ** 2 + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
+    diff = n * n - m * m
+    disc = diff * diff + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
     nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
     return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
 

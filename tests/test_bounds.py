@@ -13,10 +13,10 @@ from gaussian_eof import (DomainError, Infeasible, StandardFormParams,
                           symmetric_eof)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
-from gaussian_eof.bounds import _PSD_SIDE_TOL
 
 from conftest import (entangled_params_at, general_route_eof,
-                      log_uniform_entangled_params, random_entangled_params,
+                      is_bona_fide_params, log_uniform_entangled_params,
+                      random_entangled_params,
                       random_symmetric_entangled_params)
 
 
@@ -106,6 +106,18 @@ def test_gaussian_eof_matches_grid_oracle():
     assert worst <= 1e-11
 
 
+def test_bounds_sandwich_next_to_pure_states():
+    # gamma + eps I next to the pure amplifier states: C_x - C_p^{-1} is
+    # O(eps) and formed by cancellation, yet the Gaussian EOF still bounds
+    # the EOF from above (the x1-root minimizer broke this on 74 of them)
+    for kappa in np.geomspace(1.01, 100.0, 21):
+        pure = giovannetti_family(float(kappa), 0.0)[0]
+        for eps in np.geomspace(1e-11, 1e-3, 9):
+            report = bounds_report(StandardFormParams(
+                pure.n + eps, pure.m + eps, pure.kx, pure.kp))
+            assert report.gaussian_eof >= report.eof - 1e-10
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(log_n=st.floats(math.log(1.0001), math.log(1e3)),
        log_m=st.floats(math.log(1.0001), math.log(1e3)),
@@ -124,35 +136,57 @@ def test_gaussian_eof_properties(log_n, log_m, ratio, s, log_eps):
 
 
 def test_minimizer_constraint_residuals():
-    for p in (StandardFormParams(2.0, 1.5, 1.0, -1.0),
+    # every angle of the touching ellipse gives a Gamma between C_p^{-1}
+    # and C_x that touches both, to rounding: the minimizer keeps no filter
+    rng = np.random.default_rng(101)
+    states = [StandardFormParams(2.0, 1.5, 1.0, -1.0),
               StandardFormParams(3.0, 2.0, 1.8, -1.2),
-              StandardFormParams(2.5, 2.0, 1.3, -1.2)):
+              StandardFormParams(2.5, 2.0, 1.3, -1.2)]
+    states += [log_uniform_entangled_params(rng) for _ in range(300)]
+    states += [giovannetti_family(2.0, nbar)[0] for nbar in (0.1, 1.0, 10.0, 200.0)]
+    for p in states:
         m_opt, cand = minimize_reduced_determinant(p)
         assert m_opt >= 1.0
-        res_x, res_p = cand.constraint_residuals(p)
-        assert abs(res_x) < 1e-10 and abs(res_p) < 1e-10
         assert cand.det_gamma > 0.0
         assert cand.reduced_det == pytest.approx(m_opt, abs=1e-9)
-
-
-def test_mesh_independence_on_benchmarks(table1_params):
-    for p in table1_params:
-        coarse, _ = minimize_reduced_determinant(p, n_scan=2048)
-        fine, _ = minimize_reduced_determinant(p, n_scan=4096)
-        ec = f_aux(math.sqrt(coarse) - math.sqrt(coarse - 1.0))
-        ef = f_aux(math.sqrt(fine) - math.sqrt(fine - 1.0))
-        assert abs(ec - ef) < 1e-9
+        gamma = np.array([[cand.x0 + cand.x3, cand.x1],
+                          [cand.x1, cand.x0 - cand.x3]])
+        det_p = p.n * p.m - p.kp * p.kp
+        below = gamma - np.array([[p.m, -p.kp], [-p.kp, p.n]]) / det_p
+        above = np.array([[p.n, p.kx], [p.kx, p.m]]) - gamma
+        scale = max(p.n, p.m)   # of the entries
+        for diff in (below, above):
+            assert np.linalg.eigvalsh(diff)[0] >= -1e-14 * scale
+            assert abs(np.linalg.det(diff)) <= 1e-14 * scale ** 2
+        res_x, res_p = cand.constraint_residuals(p)
+        assert max(abs(res_x), abs(res_p)) <= 1e-14 * scale ** 2
 
 
 GRID_POINTS = 2048   # the test-only grid oracle's resolution in x1
+_PSD_SIDE_TOL = 1e-11   # the oracle's feasible-side filters
+
+
+def _scan_coefficients(params):
+    """(cx11, cx22, kx, p11, p22, p12): C_x entries and C_p^{-1} entries."""
+    n, m, kx, kp = (float(params.n), float(params.m), float(params.kx),
+                    float(params.kp))
+    det_p = n * m - kp * kp
+    return n, m, kx, m / det_p, n / det_p, -kp / det_p
 
 
 def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
-    """Objective of _candidates_at_x1 at every x1 in xs, inf where none.
+    """1 + x1^2 / det Gamma at the best feasible touching point at every x1
+    in xs, inf where none.
 
-    The same closed form, thresholds and feasibility filters, evaluated over
-    the whole grid with the same operations in the same order, so each entry
-    equals the scalar minimum exactly.
+    At fixed x1 the two touching conditions (cx11 - u)(cx22 - v) =
+    (kx - x1)^2 and (u - p11)(v - p22) = (x1 - p12)^2, u/v = x0 +/- x3,
+    meet on a line, which leaves a quadratic a u^2 - b u + c = 0,
+    a = cx22 - p22, whose discriminant factors as
+    det(C_x - C_p^{-1}) (aD - (kx + p12 - 2 x1)^2), D = cx11 - p11.  A root
+    counts where it is real, u, v and det Gamma are positive and the
+    differences touch from the feasible side.  This is the x1-root
+    formulation the package used before the touching ellipse, kept as an
+    independent reference.
     """
     dx = kx - xs
     dp = xs - p12
@@ -194,65 +228,9 @@ def _grid_objective(xs, cx11, cx22, kx, p11, p22, p12):
 
 def _grid_m_opt(params):
     """The grid oracle's winner: min of _grid_objective over GRID_POINTS x1."""
-    coefs = bounds_mod._scan_coefficients(params)
+    coefs = _scan_coefficients(params)
     xs = np.linspace(-coefs[2], coefs[2], GRID_POINTS)
     return float(_grid_objective(xs, *coefs).min())
-
-
-def _scalar_grid_objective(xs, coefs):
-    out = []
-    for x1 in xs:
-        cand = bounds_mod._candidates_at_x1(float(x1), *coefs)
-        out.append(math.inf if cand is None else cand[2])
-    return np.array(out)
-
-
-def test_grid_objective_equals_scalar_candidates(table1_params):
-    rng = np.random.default_rng(79)
-    states = table1_params + [random_entangled_params(rng) for _ in range(50)]
-    for p in states:
-        coefs = bounds_mod._scan_coefficients(p)
-        xs = np.linspace(-coefs[2], coefs[2], GRID_POINTS)
-        grid = _grid_objective(xs, *coefs)
-        assert (grid == _scalar_grid_objective(xs, coefs)).all()
-        assert np.isfinite(grid).any()
-
-
-@pytest.mark.parametrize("coefs, n_points", [
-    # (cx11, cx22, kx, p11, p22, p12)
-    # a_coef = cx22 - p22 = 0: linear in u, and b_coef = 0 at x1 = 0.5
-    ((3.0, 1.5, 1.0, 0.5, 1.5, 0.0), 5),
-    # a_coef = -3e-15 is taken as 0; the quadratic would give a feasible
-    # point at x1 = 0.5
-    ((3.0, 2.0, 0.5, 2.0, 2.000000000000003, 0.5), 17),
-    # den = cx11 - p11 = 0: v from the x constraint, u = cx11 skipped
-    ((2.0, 3.0, 1.0, 2.0, 0.5, 0.0), 5),
-    # den = -3e-13 is taken as 0, which leaves one feasible point at x1 = 0.5
-    ((3.0, 2.0, 0.5, 3.0000000000003, -1.0, 0.0), 9),
-    # b_coef = c_coef = 0 at x1 = 0, so q = 0 there; feasible at x1 > 0
-    ((1.0, 5.0, 2.0, 0.0, 1.0, 0.0), 5),
-    # disc < 0 for x1 <= 0, feasible for x1 > 0
-    ((2.0, 1.0, 1.0, 0.25, 0.5, 0.5), 9),
-    # roots with u <= 0 or v <= 0 that pass the four feasible-side filters
-    ((0.5, -0.5, 1.0, -1.0, -2.0, 0.0), 5),
-])
-def test_grid_objective_degenerate_branches(coefs, n_points):
-    # no random state reaches these branches, so the coefficients are
-    # given directly
-    xs = np.linspace(-coefs[2], coefs[2], n_points)
-    grid = _grid_objective(xs, *coefs)
-    assert (grid == _scalar_grid_objective(xs, coefs)).all()
-
-
-def test_feasible_edge_reaches_the_discriminant_root():
-    # real roots need (aD - (kx + p12 - 2 x1)^2) >= 0: for these
-    # coefficients the feasible x1 range starts at (1.5 - sqrt(0.875)) / 2
-    coefs = (2.0, 1.0, 1.0, 0.25, 0.5, 0.5, False)
-    inside = bounds_mod._candidates_at_x1(0.5, *coefs)
-    assert bounds_mod._candidates_at_x1(0.0, *coefs) is None and inside is not None
-    edge, cand = bounds_mod._feasible_edge(coefs, 0.0, 0.5, inside)
-    assert edge == pytest.approx(0.5 * (1.5 - math.sqrt(0.875)), abs=1e-12)
-    assert cand == bounds_mod._candidates_at_x1(edge, *coefs)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -265,12 +243,11 @@ def _golden_section_m_opt(params):
     ran before its coarse scan and Brent's method, kept to check that they
     find a minimum at least as low.  Returns (m_opt, grid winner's objective).
     """
-    coefs = bounds_mod._scan_coefficients(params)
+    coefs = _scan_coefficients(params)
     kx = coefs[2]
 
     def objective(x1):
-        cand = bounds_mod._candidates_at_x1(x1, *coefs)
-        return math.inf if cand is None else cand[2]
+        return float(_grid_objective(np.array([x1]), *coefs)[0])
 
     xs = np.linspace(-kx, kx, GRID_POINTS)
     grid = _grid_objective(xs, *coefs)
@@ -310,33 +287,29 @@ def test_polish_matches_golden_section_reference(table1_params):
 
 
 def test_polish_evaluation_count(monkeypatch, table1_params):
-    # counts scalar evaluations, times nothing, in three phases: the scan
-    # (SCAN_POINTS), the bisection of a feasibility edge, and the Brent
-    # polish; golden section took a median of 55 polish evaluations
+    # counts objective evaluations, times nothing, in two phases: the scan
+    # (2 SCAN_POINTS angles) and the Brent polish; golden section took a
+    # median of 55 polish evaluations
     rng = np.random.default_rng(89)
     states = table1_params + [random_entangled_params(rng) for _ in range(100)]
     phase = ["scan"]
-    calls = {"scan": 0, "edge": 0, "polish": 0}
-    scalar = bounds_mod._candidates_at_x1
+    calls = {"scan": 0, "polish": 0}
+    objective = bounds_mod._objective
 
     def counted(*args):
         calls[phase[0]] += 1
-        return scalar(*args)
+        return objective(*args)
 
-    def in_phase(name, fn):
-        def run(*args):
-            phase[0] = name
-            try:
-                return fn(*args)
-            finally:
-                phase[0] = "scan"
-        return run
+    def polish(*args):
+        phase[0] = "polish"
+        try:
+            return brent(*args)
+        finally:
+            phase[0] = "scan"
 
-    monkeypatch.setattr(bounds_mod, "_candidates_at_x1", counted)
-    monkeypatch.setattr(bounds_mod, "_feasible_edge",
-                        in_phase("edge", bounds_mod._feasible_edge))
-    monkeypatch.setattr(bounds_mod, "_brent_polish",
-                        in_phase("polish", bounds_mod._brent_polish))
+    brent = bounds_mod._brent_polish
+    monkeypatch.setattr(bounds_mod, "_objective", counted)
+    monkeypatch.setattr(bounds_mod, "_brent_polish", polish)
     counts = {name: [] for name in calls}
     for p in states:
         for name in calls:
@@ -344,17 +317,20 @@ def test_polish_evaluation_count(monkeypatch, table1_params):
         minimize_reduced_determinant(p)
         for name, n in calls.items():
             counts[name].append(n)
-    assert set(counts["scan"]) == {bounds_mod.SCAN_POINTS}
-    # each bisected edge is narrowed from one scan step to 1e-12 relative
-    assert max(counts["edge"]) <= 2 * 50
+    assert set(counts["scan"]) == {2 * bounds_mod.SCAN_POINTS}
     assert np.median(counts["polish"]) <= 30
     assert max(counts["polish"]) <= 60
 
 
-def test_minimizer_empty_grid_is_infeasible():
-    with pytest.raises(Infeasible):
-        minimize_reduced_determinant(StandardFormParams(2.0, 1.5, 1.0, -1.0),
-                                     n_scan=0)
+def test_minimizer_non_bona_fide_is_infeasible():
+    # canonical but below the uncertainty relation: C_x - C_p^{-1} is not
+    # PSD, so no pure state lies below the CM
+    for params in ((1.0, 1.0, 0.9, -0.9), (1.5, 1.5, 1.4, -0.2),
+                   (2.0, 1.5, 1.7, -0.1), (3.0, 2.0, 2.4, -1.0)):
+        p = StandardFormParams(*params)
+        assert not is_bona_fide_params(*params)
+        with pytest.raises(Infeasible):
+            minimize_reduced_determinant(p)
 
 
 def test_bounds_report_runs_the_pipeline_once(monkeypatch, table1_params):

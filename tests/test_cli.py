@@ -164,6 +164,17 @@ def test_golden_output(capsys, case):
         case["code"], case["stdout"], case["stderr"])
 
 
+@pytest.mark.parametrize("command", ["eof", "bounds"])
+def test_overflowing_invariants_are_a_json_error(capsys, command):
+    # (n^2 - m^2)^2 overflows in standard_form_nu; squared by
+    # multiplication it is inf, where ** raised OverflowError
+    code, out, err = run_cli(capsys, command, "--params", "1e100", "2e100",
+                             "1e99", " -5e98")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidState"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-family", "--nbar-min", "nan"], ["sweep-family", "--nbar-min=-inf"],
     ["sweep-family", "--nbar-max", "inf"], ["sweep-family", "--nbar-max", "nan"],
