@@ -3,16 +3,17 @@
 Covariance matrices are vacuum-normalized: the vacuum CM is the 4x4
 identity, quadrature ordering (x_A, p_A, x_B, p_B).  The exact EOF is
 computed through the EPR-like-uncertainty pipeline; the Gaussian EOF,
-published lower and upper bounds, a truncated-Fock-space oracle and a
-Monte-Carlo decomposition check provide independent verification routes.
+published lower and upper bounds and a Monte-Carlo decomposition check
+provide independent verification routes; the tests keep their own
+Fock-space oracle and local-symplectic generators.
 
 The standard-form pipeline (errors, standard_form, standard_form_solver,
 epr_uncertainty, eof_core) needs only the standard library and is imported
 with the package, so eof(), eof_from_cm() and validate_cm() run without
 numpy.  The other modules and their names are imported on first access,
 through the module __getattr__ below: bounds, which needs only the
-standard library too, and the numpy-backed decomposition, fock_oracle and
-symplectic_core.
+standard library too, and the numpy-backed decomposition and its CM
+constructors in symplectic_core.
 A resolved name is not stored here, so every lookup reaches the
 submodule's current binding.
 """
@@ -27,7 +28,7 @@ from .epr_uncertainty import (EprQuantities, delta0, delta_general,
                               r_from_delta_prime, uncertainty_floor)
 from .errors import (Degenerate, DomainError, GaussianEofError, Infeasible,
                      InvalidState, NonFiniteEntry, NoRoot, NotPsd,
-                     SandwichViolation, TruncationTooCoarse)
+                     SandwichViolation)
 from .standard_form import (StandardFormParams, ValidityReport,
                             reduce_to_standard_params, standard_form_nu,
                             validate_cm, validate_standard_form)
@@ -44,12 +45,7 @@ _LAZY_MODULES = {
     "decomposition": ("DecompositionSpec", "decomposition_spec",
                       "reconstruct_cm", "sample_displacements",
                       "verify_reconstruction"),
-    "fock_oracle": ("SchmidtSpectrum", "delta_of_spectrum",
-                    "entropy_of_spectrum", "minimal_entropy_spectrum",
-                    "schmidt_coeffs_squeezed"),
-    "symplectic_core": ("OMEGA", "local_rotation", "local_squeeze",
-                        "random_local_symplectic", "squeezed_vacuum_cm",
-                        "standard_form_cm"),
+    "symplectic_core": ("squeezed_vacuum_cm", "standard_form_cm"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items()
          for name in names}

@@ -28,7 +28,6 @@ _CHUNK = 16384
 class DecompositionSpec:
     r_opt: float
     weight_matrix: np.ndarray      # M = gamma_sigma - gamma_psi, PSD
-    norm_constant: float | None    # 1/(pi^2 sqrt(det M)); None when singular
     target_cm: np.ndarray          # gamma_sigma in the reduced frame
 
     @property
@@ -58,10 +57,8 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
         raise NotPsd(
             f"weight matrix has eigenvalue {eigvals[0]:.3e} < -{PSD_TOL}; "
             "the squeezed-state decomposition does not exist for this state")
-    det = float(np.prod(np.clip(eigvals, 0.0, None)))
-    norm = 1.0 / (math.pi ** 2 * math.sqrt(det)) if eigvals[0] > PSD_TOL else None
     return DecompositionSpec(r_opt=r_opt, weight_matrix=m_weight,
-                             norm_constant=norm, target_cm=gamma_sigma)
+                             target_cm=gamma_sigma)
 
 
 def sample_displacements(spec: DecompositionSpec, n_samples: int,
@@ -105,13 +102,15 @@ def verify_reconstruction(params: StandardFormParams, n_samples: int = 100_000,
     """Monte-Carlo check that sampled displacements rebuild the target CM.
 
     The tolerance is the 5-standard-error bound 5 sqrt(2/n) max|gamma_sigma|
-    on the largest entrywise deviation.
+    on the largest entrywise deviation; n_samples < 1 raises DomainError.
     """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     spec = decomposition_spec(params)
     samples = sample_displacements(spec, n_samples, seed)
     gamma_hat = reconstruct_cm(spec, samples)
     err = float(np.abs(gamma_hat - spec.target_cm).max())
-    tol = 5.0 * math.sqrt(2.0 / max(n_samples, 1)) * float(np.abs(spec.target_cm).max())
+    tol = 5.0 * math.sqrt(2.0 / n_samples) * float(np.abs(spec.target_cm).max())
     return {
         "r_opt": spec.r_opt,
         "n_samples": int(n_samples),

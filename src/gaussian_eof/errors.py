@@ -46,10 +46,6 @@ class NotPsd(GaussianEofError):
     """Decomposition weight matrix has a negative eigenvalue beyond tolerance."""
 
 
-class TruncationTooCoarse(GaussianEofError):
-    """Schmidt spectrum truncation leaves too much tail mass."""
-
-
 # --- verification failures ---
 
 class SandwichViolation(GaussianEofError):
@@ -57,5 +53,5 @@ class SandwichViolation(GaussianEofError):
 
 
 INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState)
-NUMERICAL_ERRORS = (NoRoot, Degenerate, Infeasible, NotPsd, TruncationTooCoarse)
+NUMERICAL_ERRORS = (NoRoot, Degenerate, Infeasible, NotPsd)
 VERIFICATION_ERRORS = (SandwichViolation,)

@@ -125,6 +125,7 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
 
     Raises:
         NonFiniteEntry: if any parameter is NaN or infinite.
+        DomainError: if standard_form_nu overflows to a non-finite value.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
@@ -134,6 +135,8 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
     if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
         return ValidityReport(True, False, (math.nan, math.nan), False, False)
     nu = standard_form_nu(n, m, kx, kp)
+    if not (math.isfinite(nu[0]) and math.isfinite(nu[1])):
+        raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
     bona_fide = nu[0] >= 1.0 - TOL_PSD
     pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
     return ValidityReport(True, True, nu, bona_fide, pure)
@@ -227,8 +230,8 @@ def validate_cm(gamma) -> ValidityReport:
     positive reports (nan, nan).
 
     Raises:
-        DomainError: if gamma is not a 4x4 matrix of numbers, or its
-            entries are too small to reduce.
+        DomainError: if gamma is not a 4x4 matrix of numbers, its entries
+            are too small to reduce or its invariants overflow.
         NonFiniteEntry: if any entry is NaN or infinite.
     """
     upper, sym = _raw_cm(gamma)

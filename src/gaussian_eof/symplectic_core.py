@@ -1,21 +1,16 @@
-"""Matrix layer: the symplectic form and the CM constructors, in numpy.
+"""CM constructors of the decomposition, in numpy.
 
-The conventions, StandardFormParams, the closed-form validation and the
-reduction of raw CMs live in standard_form, which needs no numpy.  This
-module serves the matrix-facing parts of the package: the decomposition,
-the examples and the tests, which build CMs in local frames.
+The module stays for decomposition, which builds its CMs with the two
+constructors below, and for the benchmark's layer names, which wrap
+validate_cm and reduce_to_standard_params as symplectic_core.*: hence
+their re-export from standard_form, which needs no numpy.
 """
 
 import numpy as np
 
 from .errors import DomainError
-# validate_cm and reduce_to_standard_params stay reachable here: the
-# benchmark's perfbench/tracing.py wraps them as symplectic_core.*
 from .standard_form import (StandardFormParams, reduce_to_standard_params,
                             validate_cm)
-
-J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-OMEGA = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
 
 
 def squeezed_vacuum_cm(r: float) -> np.ndarray:
@@ -54,29 +49,3 @@ def standard_form_cm(params: StandardFormParams,
         [s * kx, 0.0, m * r2, 0.0],
         [0.0, kp / s, 0.0, m / r2],
     ])
-
-
-# --- local symplectic generators (used by invariance tests and examples) ---
-
-def local_rotation(theta_a: float, theta_b: float) -> np.ndarray:
-    """Direct sum of single-mode phase rotations; symplectic."""
-    def rot(t):
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[c, s], [-s, c]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = rot(theta_a)
-    out[2:, 2:] = rot(theta_b)
-    return out
-
-
-def local_squeeze(s_a: float, s_b: float) -> np.ndarray:
-    """Direct sum of single-mode squeezers diag(e^s, e^-s); symplectic."""
-    return np.diag([np.exp(s_a), np.exp(-s_a), np.exp(s_b), np.exp(-s_b)])
-
-
-def random_local_symplectic(rng: np.random.Generator,
-                            max_squeeze: float = 0.8) -> np.ndarray:
-    """Random element of the local symplectic group Sp(2,R) x Sp(2,R)."""
-    t1, t2, t3, t4 = rng.uniform(0.0, 2.0 * np.pi, size=4)
-    s1, s2 = rng.uniform(-max_squeeze, max_squeeze, size=2)
-    return local_rotation(t1, t2) @ local_squeeze(s1, s2) @ local_rotation(t3, t4)

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 import gaussian_eof
-from gaussian_eof import (OMEGA, CriticalParams, Degenerate,
-                          StandardFormParams, ValidityReport, critical_params,
-                          delta0, f_aux, random_local_symplectic,
+from gaussian_eof import (CriticalParams, Degenerate, StandardFormParams,
+                          ValidityReport, critical_params, delta0, f_aux,
                           solve_squeezings, standard_form_nu)
 from gaussian_eof.cli import load_table1_reference
 from gaussian_eof.standard_form import TOL_PSD, _raw_cm
+
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+OMEGA = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
 
 
 def fresh_python(code, *args, timeout=None):
@@ -174,6 +176,29 @@ def beam_splitter(t):
     """Symplectic beam splitter BS(t) = [[cos t I, sin t I], [-sin t I, cos t I]]."""
     c, s = math.cos(t) * np.eye(2), math.sin(t) * np.eye(2)
     return np.block([[c, s], [-s, c]])
+
+
+def local_rotation(theta_a, theta_b):
+    """Direct sum of single-mode phase rotations; symplectic."""
+    def rot(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, s], [-s, c]])
+    out = np.zeros((4, 4))
+    out[:2, :2] = rot(theta_a)
+    out[2:, 2:] = rot(theta_b)
+    return out
+
+
+def local_squeeze(s_a, s_b):
+    """Direct sum of single-mode squeezers diag(e^s, e^-s); symplectic."""
+    return np.diag([np.exp(s_a), np.exp(-s_a), np.exp(s_b), np.exp(-s_b)])
+
+
+def random_local_symplectic(rng, max_squeeze=0.8):
+    """Random element of the local symplectic group Sp(2,R) x Sp(2,R)."""
+    t1, t2, t3, t4 = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    s1, s2 = rng.uniform(-max_squeeze, max_squeeze, size=2)
+    return local_rotation(t1, t2) @ local_squeeze(s1, s2) @ local_rotation(t3, t4)
 
 
 def near_pure_cm(rng):

@@ -1,9 +1,10 @@
 """Truncated-Fock-space oracle: Schmidt spectra, entropy, spectrum uncertainty.
 
-Independent verification route for the pipeline: geometric Schmidt spectra
-of two-mode squeezed states, their entanglement entropy, and the spectrum
-functional delta(c) that lower-bounds the EPR-like uncertainty over all
-states sharing the spectrum.
+Independent verification route for the pipeline, used by the tests only:
+geometric Schmidt spectra of two-mode squeezed states, their entanglement
+entropy, and the spectrum functional delta(c) that lower-bounds the
+EPR-like uncertainty over all states sharing the spectrum.  Tests import it
+as `from fock_oracle import ...`, like conftest.
 """
 
 import math
@@ -11,11 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_uncertainty import delta_prime, r_from_delta_prime, uncertainty_floor
-from .errors import DomainError, InvalidState, TruncationTooCoarse
+from gaussian_eof import (DomainError, GaussianEofError, InvalidState,
+                          delta_prime, r_from_delta_prime, uncertainty_floor)
 
 DEFAULT_TRUNCATION = 256
 TAIL_TOL = 1e-12
+
+
+class TruncationTooCoarse(GaussianEofError):
+    """Schmidt spectrum truncation leaves too much tail mass."""
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gaussian_eof import (NotPsd, SchmidtSpectrum, StandardFormParams,
-                          critical_params, delta0, delta_of_spectrum,
-                          delta_prime, entropy_of_spectrum, eof, f_aux,
-                          gaussian_eof, giovannetti_family,
-                          minimal_entropy_spectrum, oliveira_upper,
-                          r_from_delta_prime, rigolin_lower,
-                          schmidt_coeffs_squeezed, solve_squeezings,
+from gaussian_eof import (NotPsd, StandardFormParams, critical_params, delta0,
+                          delta_prime, eof, f_aux, gaussian_eof,
+                          giovannetti_family, oliveira_upper,
+                          r_from_delta_prime, rigolin_lower, solve_squeezings,
                           squeezed_vacuum_cm, standard_form_cm,
                           uncertainty_floor, verify_reconstruction)
 from gaussian_eof.cli import main as cli_main
 from gaussian_eof.decomposition import PSD_TOL
 
 from conftest import random_entangled_params, random_symmetric_entangled_params
+from fock_oracle import (SchmidtSpectrum, delta_of_spectrum,
+                         entropy_of_spectrum, minimal_entropy_spectrum,
+                         schmidt_coeffs_squeezed)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

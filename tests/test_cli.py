@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 
 import gaussian_eof
 from gaussian_eof import bounds as bounds_mod
-from gaussian_eof.cli import main
+from gaussian_eof.cli import _HANDLERS, main
 from gaussian_eof import squeezed_vacuum_cm, standard_form_cm, StandardFormParams
 
 from conftest import fresh_python
@@ -99,6 +100,14 @@ def test_sandwich_violation_exits_three(capsys, monkeypatch):
     assert json.loads(err)["error"] == "SandwichViolation"
 
 
+def test_verify_decomposition_needs_a_sample(capsys):
+    # zero draws printed pass = true with no evidence
+    code, out, err = run_cli(capsys, "verify-decomposition", "--params",
+                             "2", "2", "1.2", "-0.8", "--samples", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_verify_decomposition_symmetric(capsys):
     code, out, _ = run_cli(capsys, "verify-decomposition", "--params",
                            "2", "2", "1.2", "-0.8", "--samples", "20000",
@@ -164,15 +173,28 @@ def test_golden_output(capsys, case):
         case["code"], case["stdout"], case["stderr"])
 
 
-@pytest.mark.parametrize("command", ["eof", "bounds"])
-def test_overflowing_invariants_are_a_json_error(capsys, command):
-    # (n^2 - m^2)^2 overflows in standard_form_nu; squared by
-    # multiplication it is inf, where ** raised OverflowError
-    code, out, err = run_cli(capsys, command, "--params", "1e100", "2e100",
-                             "1e99", " -5e98")
+_HUGE = ["--params", "1e100", "2e100", "1e99", " -5e98"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eof", *_HUGE], ["bounds", *_HUGE], ["validate", "--input", "{huge}"],
+    ["eof", "--input", "{huge}"]],
+    ids=["eof", "bounds", "validate --input", "eof --input"])
+def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
+    # (n^2 - m^2)^2 overflows in standard_form_nu (squared by
+    # multiplication it is inf, where ** raised OverflowError), and so does
+    # det(1e150 I), for which validate printed nu = (Infinity, 1e+150), no
+    # JSON, and bona fide.  Such a state is outside the float range, which
+    # is no broken uncertainty relation
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"gamma": (1e150 * np.eye(4)).tolist()}))
+    code, out, err = run_cli(capsys, *(a.replace("{huge}", str(huge))
+                                       for a in argv))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "InvalidState"
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "leave the float range" in payload["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -360,9 +382,9 @@ def test_import_loads_no_scipy(tmp_path):
     assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
 
 
-_SUBMODULES = ("bounds", "decomposition", "eof_core", "epr_uncertainty",
-               "errors", "fock_oracle", "standard_form", "standard_form_solver",
-               "symplectic_core")
+# the library modules: every module of the package but the command line
+_SUBMODULES = tuple(m.name for m in pkgutil.iter_modules(gaussian_eof.__path__)
+                    if m.name != "cli")
 
 
 def test_public_names_resolve():
@@ -385,10 +407,37 @@ def test_public_names_resolve():
     assert not unknown and not numpy_loaded
     assert mods == {m: f"gaussian_eof.{m}" for m in _SUBMODULES}
     assert missing == [] and foreign == []
-    lazy = {"OMEGA", "bounds_report", "standard_form_cm", "verify_reconstruction",
-            "SchmidtSpectrum", "gaussian_eof"}
+    lazy = {"squeezed_vacuum_cm", "bounds_report", "standard_form_cm",
+            "verify_reconstruction", "decomposition_spec", "gaussian_eof"}
     assert not lazy & set(stored)
     assert set(gaussian_eof.__all__) | set(_SUBMODULES) | {"__version__"} <= set(listed)
+
+
+def test_every_module_is_reached_by_a_command(tmp_path):
+    # the README's commands, verify-decomposition included, run in one
+    # process load every module of the package: a module that no command
+    # reaches does not belong in it
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"gamma": np.eye(4).tolist()}))
+    commands = [["eof", "--params", "2", "1.5", "1", "-1", "--format", "json"],
+                ["bounds", "--params", "2", "1.5", "1.2", "-1"],
+                ["table1", "--format", "json"],
+                ["sweep-family", "--kappa", "2", "--nbar-max", "50",
+                 "--points", "26"],
+                ["figure1", "--a", "-1.2", "--r-max", "1.0"],
+                ["verify-decomposition", "--params", "2", "2", "1.2", "-0.8",
+                 "--samples", "100000", "--seed", "12345"],
+                ["validate", "--input", str(path)]]
+    assert {argv[0] for argv in commands} == set(_HANDLERS)
+    code = ("import json, pkgutil, sys\n"
+            "import gaussian_eof\n"
+            "from gaussian_eof.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "unreached = [m.name for m in pkgutil.iter_modules(gaussian_eof.__path__)\n"
+            "             if 'gaussian_eof.' + m.name not in sys.modules]\n"
+            "print(json.dumps([codes, unreached]))\n")
+    out = fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
+    assert json.loads(out) == [[0] * len(commands), []]
 
 
 def test_star_import_and_numpy_commands_in_a_fresh_process(tmp_path):

@@ -22,8 +22,6 @@ def test_spec_on_symmetric_state():
     # exact reassembly identity
     assert np.allclose(spec.core_cm + spec.weight_matrix, spec.target_cm,
                        atol=1e-12)
-    # symmetric states have a rank-deficient weight: no normalization constant
-    assert spec.norm_constant is None
 
 
 def test_spec_on_pure_state_is_zero_weight():
@@ -92,6 +90,16 @@ def test_reconstruction_within_statistical_bound():
                            "pass"}
 
 
+def test_reconstruction_needs_a_sample():
+    # zero draws are no evidence: refused, while the sampler still returns
+    # an empty (0, 4) array
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="n_samples must be >= 1"):
+            verify_reconstruction(SYMMETRIC, n_samples=n)
+    spec = decomposition_spec(SYMMETRIC)
+    assert sample_displacements(spec, 0, seed=1).shape == (0, 4)
+
+
 def test_reconstruction_exact_identity():
     # gamma_psi + M = gamma_sigma holds exactly by construction
     report = eof(SYMMETRIC)
@@ -103,15 +111,10 @@ def test_reconstruction_exact_identity():
 
 
 def test_full_rank_synthetic_weight():
-    # exercise the normalization constant and full-rank sampling on a
-    # synthetic PSD weight
+    # exercise full-rank sampling on a synthetic PSD weight
     m_weight = np.diag([0.5, 0.4, 0.3, 0.2])
     spec = DecompositionSpec(r_opt=0.3, weight_matrix=m_weight,
-                             norm_constant=1.0 / (math.pi ** 2 *
-                                                  math.sqrt(0.5 * 0.4 * 0.3 * 0.2)),
                              target_cm=squeezed_vacuum_cm(0.3) + m_weight)
-    assert spec.norm_constant == pytest.approx(
-        1.0 / (math.pi ** 2 * math.sqrt(np.linalg.det(m_weight))), rel=1e-12)
     xi = sample_displacements(spec, 200_000, seed=21)
     cov = 0.5 * m_weight
     se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov * cov) / 200_000)

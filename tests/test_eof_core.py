@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
-                          StandardFormParams, bounds_report,
-                          entropy_of_spectrum, eof, gaussian_eof as g_eof,
-                          eof_from_cm, f_aux, g_kappa, giovannetti_family,
-                          local_rotation, local_squeeze,
-                          random_local_symplectic, schmidt_coeffs_squeezed,
-                          squeezed_thermal_eof, squeezed_vacuum_cm,
-                          standard_form_nu, symmetric_eof,
+                          StandardFormParams, bounds_report, eof,
+                          gaussian_eof as g_eof, eof_from_cm, f_aux, g_kappa,
+                          giovannetti_family, squeezed_thermal_eof,
+                          squeezed_vacuum_cm, standard_form_nu, symmetric_eof,
                           validate_standard_form)
 from gaussian_eof import eof_core
 from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (beam_splitter, fresh_python, general_route_eof,
                       general_route_epr, is_bona_fide_params,
-                      is_entangled_params, near_pure_cm, two_mode_squeezer)
+                      is_entangled_params, local_rotation, local_squeeze,
+                      near_pure_cm, random_local_symplectic,
+                      two_mode_squeezer)
+from fock_oracle import entropy_of_spectrum, schmidt_coeffs_squeezed
 
 
 def pure_entropy(r):

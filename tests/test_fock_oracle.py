@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gaussian_eof import (DomainError, SchmidtSpectrum, TruncationTooCoarse,
-                          delta_of_spectrum, delta_prime, entropy_of_spectrum,
-                          f_aux, minimal_entropy_spectrum,
-                          schmidt_coeffs_squeezed, uncertainty_floor)
+from gaussian_eof import DomainError, delta_prime, f_aux, uncertainty_floor
+
+from fock_oracle import (SchmidtSpectrum, TruncationTooCoarse,
+                         delta_of_spectrum, entropy_of_spectrum,
+                         minimal_entropy_spectrum, schmidt_coeffs_squeezed)
 
 
 def closed_form_entropy(r):

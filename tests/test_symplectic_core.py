@@ -7,16 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
-                          StandardFormParams, local_rotation, local_squeeze,
-                          random_local_symplectic, reduce_to_standard_params,
+                          StandardFormParams, reduce_to_standard_params,
                           squeezed_vacuum_cm, standard_form_cm,
                           standard_form_nu, validate_cm,
                           validate_standard_form)
 from gaussian_eof.standard_form import TOL_SYM, _raw_cm, params_from_json_dict
-from gaussian_eof.symplectic_core import OMEGA
 
-from conftest import (eigen_solve_report, near_pure_cm,
-                      random_bona_fide_params, symplectic_eigenvalues)
+from conftest import (OMEGA, eigen_solve_report, local_rotation, local_squeeze,
+                      near_pure_cm, random_bona_fide_params,
+                      random_local_symplectic, symplectic_eigenvalues)
 
 
 def test_symplectic_form_identities():
