@@ -5,12 +5,12 @@ CM sits below the target state's CM.  Writing the pure-state x-block as
 Gamma = [[x0+x3, x1], [x1, x0-x3]], its p-block is Gamma^{-1}, so the
 constraint reads C_p^{-1} <= Gamma <= C_x, where C_x and C_p are the x and
 p blocks of the standard-form CM.  Some Gamma satisfies it exactly when
-K = C_x - C_p^{-1} is PSD, which by the Schur complement holds for every
-bona fide state.  The optimum touches both ends, Gamma - C_p^{-1} and
-C_x - Gamma of rank one, and those Gammas form one ellipse in the angle
-theta (see minimize_reduced_determinant), on which the objective
-1 + x1^2 / det Gamma is smooth.  It is scanned coarsely and polished by
-Brent's parabolic minimization, in scalar arithmetic.
+K = C_x - C_p^{-1} is PSD, which by the Schur complement holds exactly for
+bona fide states, where negative parts of K are rounding.  The optimum
+touches both ends, Gamma - C_p^{-1} and C_x - Gamma of rank one, and those
+Gammas form one ellipse in the angle theta (minimize_reduced_determinant),
+on which 1 + x1^2 / det Gamma is smooth.  It is scanned coarsely and
+polished by Brent's parabolic minimization, in scalar arithmetic.
 """
 
 import math
@@ -110,22 +110,22 @@ def minimize_reduced_determinant(params: StandardFormParams
     det K = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p is rounding noise that
     standard_form_nu cannot resolve at large n; within _VACUUM_TOL K11 K22
     it is taken as 0, S = K / sqrt(tr K), and the ellipse is a segment
-    traversed twice, with no separate path.  The result is never above the
-    best scan point.
+    traversed twice, with no separate path; tr K <= 0 means K = 0, a pure
+    state.  The result is never above the best scan point.
 
     Raises:
         DomainError: parameters not finite or not canonical.
-        Infeasible: K is not PSD beyond _VACUUM_TOL, which by the Schur
-            complement means the state is not bona fide.
+        Infeasible: exactly when validate_standard_form finds the state not
+            bona fide; then no pure state lies below the CM.
     """
     check_canonical(params)
+    if not validate_standard_form(params).is_bona_fide:
+        raise Infeasible("no pure state below the CM: it is not bona fide")
     (p11, p22, p12), (k11, k22, k12) = _blocks(params)
-    det_k, scale = k11 * k22 - k12 * k12, _VACUUM_TOL * k11 * k22
-    if k11 < 0.0 or k22 < 0.0 or det_k < -scale:
-        raise Infeasible("no pure state below the CM: C_x - C_p^-1 is not PSD")
-    root = math.sqrt(det_k) if det_k > scale else 0.0
-    # `or 1.0`: K = 0 only at a pure state, whose ellipse is the point C_p^{-1}
-    norm = math.sqrt(k11 + k22 + 2.0 * root) or 1.0
+    det_k = k11 * k22 - k12 * k12
+    root = math.sqrt(det_k) if det_k > _VACUUM_TOL * k11 * k22 else 0.0
+    # tr K <= 0 only by rounding at a pure state, K = 0: the ellipse is C_p^{-1}
+    norm = math.sqrt(max(k11 + k22 + 2.0 * root, 0.0)) or math.inf
     s11, s22, s12 = (k11 + root) / norm, (k22 + root) / norm, k12 / norm
     ellipse = (p11, p22, p12, s11, s22, s12)
     # x1(theta) = center + xc cos(theta) + xs sin(theta)

@@ -7,6 +7,7 @@ critical Duan parameter and maps it through f to the EOF in bits.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .epr_uncertainty import EprQuantities, delta0
 from .errors import Degenerate, DomainError, InvalidState
@@ -205,7 +206,9 @@ def giovannetti_family(kappa: float, nbar: float
     kx = -kp = 2(nbar+1) sqrt(kappa(kappa-1)), evaluates its EOF with eof()
     (the squeezed-thermal closed form) and returns g(kappa) for comparison.
     At kappa = 1 the state is a product and the EOF is g(1) = 0; at
-    nbar = 0 it is pure and the EOF equals g(kappa) exactly.
+    nbar = 0 it is pure and the EOF equals g(kappa) exactly.  Every member
+    has nu_- = 1; DomainError where the rounded parameters hold nu_- more
+    than TOL_PSD from 1 (from about kappa = 170 at nbar = 50).
     """
     if kappa < 1.0 or nbar < 0.0:
         raise DomainError("need kappa >= 1 and nbar >= 0")
@@ -216,6 +219,15 @@ def giovannetti_family(kappa: float, nbar: float
         raise DomainError(f"the family's parameters overflow at "
                           f"kappa = {kappa}, nbar = {nbar}")
     params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
+    check_canonical(params)
+    # nu_- of (n, m, kx, -kx) is 2 D / (sqrt(4 D + d^2) + d) with d = n - m
+    # and D = nm - kx^2 exact: in floats D cancels (3.5e-9 at kappa = 300)
+    det, d = float(Fraction(n) * Fraction(m) - Fraction(kx) ** 2), n - m
+    nu_minus = (2.0 * det / (math.hypot(2.0 * math.sqrt(det), d) + d)
+                if det > 0.0 else math.nan)
+    if not abs(nu_minus - 1.0) <= TOL_PSD:
+        raise DomainError(f"the family's parameters at kappa = {kappa}, "
+                          f"nbar = {nbar} round to nu_- = {nu_minus}, not 1")
     return params, eof(params), g_kappa(kappa)
 
 

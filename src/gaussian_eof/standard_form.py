@@ -13,8 +13,8 @@ with diagonal blocks n*I, m*I and off-diagonal block diag(kx, kp); the
 one-mode squeezing factors (r1, r2), when present, place the CM in the
 fully reduced form used by the EPR-uncertainty pipeline.
 
-Raw matrices are validated and reduced here too, in closed form: one
-signed standard form serves both validate_cm and reduce_to_standard_params.
+Raw matrices are validated and reduced here too, in closed form:
+reduce_to_standard_params reads the signed standard form validate_cm judged.
 
 This module imports only the standard library, so the eof() pipeline and
 the CLI validate report run without numpy; symplectic_core holds the
@@ -22,7 +22,7 @@ matrix constructors.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import DomainError, InvalidState, NonFiniteEntry
 
@@ -60,11 +60,15 @@ class StandardFormParams:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """A state's validity; form is the standard form judged (the parameters,
+    or a raw CM's signed form; None when A or B is not positive)."""
     is_symmetric_matrix: bool
     is_positive: bool
     symplectic_eigenvalues: tuple[float, float]
     is_bona_fide: bool
     is_pure: bool
+    form: StandardFormParams | None = field(default=None, compare=False,
+                                            repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -87,13 +91,15 @@ def standard_form_nu(n: float, m: float, kx: float,
     which is exactly 0 on symmetric squeezed thermal states (pure ones
     included), where Delta^2 - 4 det cancels to rounding noise of size
     sqrt(eps) Delta.  Defined for a positive matrix: n > 0, nm > kx^2 and
-    nm > kp^2.
+    nm > kp^2; (nan, nan) where nu_+^2 rounds to 0 or below.
     """
     delta = n * n + m * m + 2.0 * kx * kp
     det = (n * m - kx * kx) * (n * m - kp * kp)
     diff = n * n - m * m
     disc = diff * diff + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
     nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
+    if not nu_plus_sq > 0.0:   # delta lost to rounding, as at n ~ 1e17
+        return math.nan, math.nan
     return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
 
 
@@ -125,7 +131,8 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
 
     Raises:
         NonFiniteEntry: if any parameter is NaN or infinite.
-        DomainError: if standard_form_nu overflows to a non-finite value.
+        DomainError: if nm, kx^2, kp^2 or standard_form_nu is not finite:
+            the invariants leave the float range.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
@@ -133,13 +140,17 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
         raise NonFiniteEntry("standard-form parameters must be finite")
     nm = n * m
     if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
-        return ValidityReport(True, False, (math.nan, math.nan), False, False)
-    nu = standard_form_nu(n, m, kx, kp)
+        if not (math.isfinite(nm) and math.isfinite(kx * kx)
+                and math.isfinite(kp * kp)):
+            raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
+        return ValidityReport(True, False, (math.nan, math.nan), False, False,
+                              params)
+    nu = standard_form_nu(n, m, kx, kp)   # not finite if nm is
     if not (math.isfinite(nu[0]) and math.isfinite(nu[1])):
         raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
     bona_fide = nu[0] >= 1.0 - TOL_PSD
     pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
-    return ValidityReport(True, True, nu, bona_fide, pure)
+    return ValidityReport(True, True, nu, bona_fide, pure, params)
 
 
 def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
@@ -185,7 +196,7 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
 def _signed_form(a0, a1, c00, c01, a2, c10, c11, b0, b1, b2):
     """The signed standard form (n, m, q + r, q - r) of the _raw_cm upper
     triangle; None when A or B is not positive, DomainError where the
-    normalisation underflows.
+    normalisation underflows or overflows.
 
     The local normalisation of Duan et al. (PRL 84, 2722 (2000)) in closed
     form: the local symplectics sqrt(n) A^{-1/2} and sqrt(m) B^{-1/2} turn
@@ -211,6 +222,8 @@ def _signed_form(a0, a1, c00, c01, a2, c10, c11, b0, b1, b2):
     norm = n * m * (a0 + a2 + 2.0 * n) * (b0 + b2 + 2.0 * m)
     if norm == 0.0:   # underflow, at entries of about 1e-77 and below
         raise DomainError("covariance matrix entries too small to reduce")
+    if norm == math.inf:   # overflow, at entries of about 1e77 and above
+        raise DomainError("covariance matrix entries leave the float range")
     scale = 0.5 / math.sqrt(norm)
     # C' = 2 scale y, whose determinant q^2 - r^2 has the sign of det C
     q = scale * math.hypot(y00 + y11, y10 - y01)
@@ -239,21 +252,19 @@ def validate_cm(gamma) -> ValidityReport:
     if form is None:
         return ValidityReport(sym, False, (math.nan, math.nan), False, False)
     report = validate_standard_form(form)
-    if sym:
-        return report
-    return replace(report, is_symmetric_matrix=False, is_bona_fide=False,
-                   is_pure=False)
+    return report if sym else replace(report, is_symmetric_matrix=False,
+                                      is_bona_fide=False, is_pure=False)
 
 
 def reduce_to_standard_params(gamma) -> StandardFormParams:
     """Validate a raw CM and reduce it to its standard form (n, m, kx, kp).
 
-    gamma and its validation are validate_cm's; the result is the signed
-    standard form (_signed_form), kx >= |kp|, canonicalized to kp <= 0.
-    For classically-correlated inputs (det C > 0) the sign flip on kp
-    amounts to a partial transposition, which leaves every entanglement
-    quantity unchanged because such states are separable whenever they
-    are bona fide.
+    The validation is validate_cm's, and the result its report's form, the
+    signed standard form (_signed_form), kx >= |kp|, canonicalized to
+    kp <= 0.  For classically-correlated inputs (det C > 0) the sign flip on
+    kp amounts to a partial transposition, which leaves every entanglement
+    quantity unchanged because such states are separable whenever they are
+    bona fide.
 
     Raises:
         DomainError: as validate_cm.
@@ -261,21 +272,18 @@ def reduce_to_standard_params(gamma) -> StandardFormParams:
         InvalidState: if gamma is not a bona fide CM; the message names the
             test that failed (symmetric, positive, symplectic eigenvalues).
     """
-    upper, sym = _raw_cm(gamma)
-    if not sym:
+    report = validate_cm(gamma)
+    if not report.is_symmetric_matrix:
         raise InvalidState("not a bona fide CM: the matrix is not symmetric")
-    form = _signed_form(*upper)
-    report = None if form is None else validate_standard_form(form)
-    if report is None or not report.is_positive:
+    if not report.is_positive:
         raise InvalidState("not a bona fide CM: the matrix is not positive")
     if not report.is_bona_fide:
         raise InvalidState(
             f"not a bona fide CM: closed-form symplectic eigenvalues "
             f"{report.symplectic_eigenvalues}")
-    n, m, kx, kp = form.n, form.m, form.kx, -abs(form.kp)
-    if kx < TOL_PRODUCT and abs(kp) < TOL_PRODUCT:
-        kx = kp = 0.0
-    return StandardFormParams(n=n, m=m, kx=kx, kp=kp)
+    form = report.form
+    kx, kp = (0.0, 0.0) if form.is_product else (form.kx, -abs(form.kp))
+    return StandardFormParams(form.n, form.m, kx, kp)
 
 
 def params_from_json_dict(payload: dict) -> StandardFormParams:

@@ -89,6 +89,21 @@ def is_entangled_params(n, m, kx, kp, margin=1e-6):
     return ppt_nu_minus(n, m, kx, kp) < 1.0 - margin
 
 
+def kx_at_nu_minus(n, m, t, target, flip=False):
+    """The largest kx with nu_-(n, m, kx, -t kx) >= target, by bisection to
+    adjacent floats; with flip, nu_- of the partial transpose (kp -> t kx)."""
+    sign = 1.0 if flip else -1.0
+    lo, hi = 0.0, math.sqrt(n * m)
+    while True:
+        kx = 0.5 * (lo + hi)
+        if kx in (lo, hi):
+            return lo
+        if n * m > kx * kx and standard_form_nu(n, m, kx, sign * t * kx)[0] >= target:
+            lo = kx
+        else:
+            hi = kx
+
+
 def random_entangled_params(rng, n_lo=1.05, n_hi=5.0):
     """Rejection-sample canonical parameters of a bona fide entangled state."""
     while True:

@@ -10,12 +10,14 @@ from gaussian_eof import (DomainError, Infeasible, StandardFormParams,
                           giovannetti_family, minimize_reduced_determinant,
                           oliveira_upper, reduce_to_standard_params,
                           rigolin_lower, squeezed_vacuum_cm, standard_form_nu,
-                          symmetric_eof)
+                          symmetric_eof, validate_standard_form)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
+from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (entangled_params_at, general_route_eof,
-                      is_bona_fide_params, log_uniform_entangled_params,
+                      is_bona_fide_params, kx_at_nu_minus,
+                      log_uniform_entangled_params,
                       random_entangled_params,
                       random_symmetric_entangled_params)
 
@@ -331,6 +333,72 @@ def test_minimizer_non_bona_fide_is_infeasible():
         assert not is_bona_fide_params(*params)
         with pytest.raises(Infeasible):
             minimize_reduced_determinant(p)
+
+
+def _edge_state(rng, target):
+    """n, m log-uniform on [1.1, 50], t on [0.05, 1] and the largest kx with
+    nu_-(n, m, kx, -t kx) >= target(rng)."""
+    n, m = (float(v) for v in np.exp(rng.uniform(math.log(1.1), math.log(50.0), 2)))
+    t = rng.uniform(0.05, 1.0)
+    return n, m, t, kx_at_nu_minus(n, m, t, target(rng))
+
+
+def test_bounds_report_just_below_the_uncertainty_relation():
+    # nu_- = 1 - 10^U(-12, -9.05): bona fide within TOL_PSD, so eof()
+    # accepts them, and so must the minimizer; there C_x - C_p^{-1} is
+    # slightly indefinite, which the minimizer used to refuse (Infeasible
+    # on 277 of these 300)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m, t, kx = _edge_state(
+            rng, lambda r: 1.0 - 10.0 ** r.uniform(-12.0, -9.05))
+        p = StandardFormParams(n, m, kx, -t * kx)
+        report = bounds_report(p)
+        assert report.gaussian_eof >= report.eof - bounds_mod.SANDWICH_TOL, p
+
+
+def test_minimizer_on_pure_states():
+    # two-mode squeezed vacua, reduced from their CMs, and the pure
+    # amplifier members (2k - 1, 2k - 1, 2 sqrt(k(k - 1)), -...): K = 0 up
+    # to rounding, which the minimizer used to refuse on 28 of these 80
+    states = [reduce_to_standard_params(squeezed_vacuum_cm(float(r)))
+              for r in np.linspace(0.05, 3.0, 40)]
+    for k in np.geomspace(1.01, 1e3, 40):
+        s = 2.0 * math.sqrt(k * (k - 1.0))
+        states.append(StandardFormParams(2.0 * k - 1.0, 2.0 * k - 1.0, s, -s))
+    for p in states:
+        assert validate_standard_form(p).is_pure, p
+        m_opt, _ = minimize_reduced_determinant(p)
+        m_opt = max(m_opt, 1.0)
+        value = f_aux(math.sqrt(m_opt) - math.sqrt(m_opt - 1.0))
+        assert value == pytest.approx(eof(p).eof, rel=1e-10, abs=0.0), p
+
+
+def test_minimizer_infeasible_exactly_when_not_bona_fide():
+    # the largest kx with nu_- >= 1 - TOL_PSD and the next float above it,
+    # and states 1e-13..1e-10 to either side of that edge
+    rng = np.random.default_rng(61)
+    edge = 1.0 - TOL_PSD
+    states = []
+    for _ in range(100):
+        n, m, t, kx = _edge_state(rng, lambda r: edge)
+        states += [(n, m, kx, t), (n, m, math.nextafter(kx, math.inf), t)]
+        for side in (-1.0, 1.0):
+            n, m, t, kx = _edge_state(
+                rng, lambda r: edge + side * 10.0 ** r.uniform(-13.0, -10.0))
+            states.append((n, m, kx, t))
+    verdicts = set()
+    for n, m, kx, t in states:
+        p = StandardFormParams(n, m, kx, -t * kx)
+        bona_fide = validate_standard_form(p).is_bona_fide
+        verdicts.add(bona_fide)
+        try:
+            minimize_reduced_determinant(p)
+            refused = False
+        except Infeasible:
+            refused = True
+        assert refused is not bona_fide, (p, bona_fide)
+    assert verdicts == {True, False}
 
 
 def test_bounds_report_runs_the_pipeline_once(monkeypatch, table1_params):

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -174,27 +175,61 @@ def test_golden_output(capsys, case):
 
 
 _HUGE = ["--params", "1e100", "2e100", "1e99", " -5e98"]
+# n m and kx^2 overflow; in the second, nu_+^2 rounds to 0 (it divided by 0)
+_HUGER = ["--params", "1e200", "1e200", "1e199", " -1e199"]
+_ROUNDED = ["--params", "1.635567709700921e+17", "1.63556770970092e+17",
+            "1.6355677097009203e+17", " -1.6355677097009203e+17"]
 
 
 @pytest.mark.parametrize("argv", [
     ["eof", *_HUGE], ["bounds", *_HUGE], ["validate", "--input", "{huge}"],
-    ["eof", "--input", "{huge}"]],
-    ids=["eof", "bounds", "validate --input", "eof --input"])
+    ["eof", "--input", "{huge}"], ["eof", *_HUGER], ["eof", *_ROUNDED],
+    ["validate", "--input", "{huger}"], ["eof", "--input", "{huger}"]],
+    ids=["eof", "bounds", "validate --input", "eof --input", "eof 1e200",
+         "eof nu_+ rounded to 0", "validate --input 1e200",
+         "eof --input 1e200"])
 def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # (n^2 - m^2)^2 overflows in standard_form_nu (squared by
     # multiplication it is inf, where ** raised OverflowError), and so does
     # det(1e150 I), for which validate printed nu = (Infinity, 1e+150), no
     # JSON, and bona fide.  Such a state is outside the float range, which
-    # is no broken uncertainty relation
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps({"gamma": (1e150 * np.eye(4)).tolist()}))
-    code, out, err = run_cli(capsys, *(a.replace("{huge}", str(huge))
-                                       for a in argv))
+    # is no broken uncertainty relation.  So are n m = inf, which read as
+    # "no positive matrix", and the normalisation of 1e200 I, whose NaN
+    # entries read as NonFiniteEntry although every entry is finite
+    files = {}
+    for key, size in (("{huge}", 1e150), ("{huger}", 1e200)):
+        files[key] = tmp_path / f"{size:g}.json"
+        files[key].write_text(json.dumps({"gamma": (size * np.eye(4)).tolist()}))
+    code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "DomainError"
     assert "leave the float range" in payload["message"]
+
+
+def test_eof_from_a_matrix_reaches_validate_cm(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer counts symplectic_core.validate_cm among
+    # eof()'s stages: it swaps every module binding of the function for a
+    # wrapper, as done here, so a raw CM must reach validate_cm
+    validate = gaussian_eof.standard_form.validate_cm
+    calls = []
+
+    def counted(gamma):
+        calls.append(gamma)
+        return validate(gamma)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("gaussian_eof")
+                and getattr(module, "validate_cm", None) is validate):
+            monkeypatch.setattr(module, "validate_cm", counted)
+    gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.2, -1.0))
+    gaussian_eof.eof_from_cm(gamma)
+    assert len(calls) == 1
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"gamma": gamma.tolist()}))
+    code, _, _ = run_cli(capsys, "eof", "--input", str(path))
+    assert code == 0 and len(calls) == 2
 
 
 @pytest.mark.parametrize("argv", [

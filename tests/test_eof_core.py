@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (beam_splitter, fresh_python, general_route_eof,
                       general_route_epr, is_bona_fide_params,
-                      is_entangled_params, local_rotation, local_squeeze,
-                      near_pure_cm, random_local_symplectic,
+                      is_entangled_params, kx_at_nu_minus, local_rotation,
+                      local_squeeze, near_pure_cm, random_local_symplectic,
                       two_mode_squeezer)
 from fock_oracle import entropy_of_spectrum, schmidt_coeffs_squeezed
 
@@ -303,21 +304,6 @@ def test_vacuum_mode_is_separable_on_the_general_route():
             assert (report.params.r1, report.params.r2) == (1.0, 1.0)
 
 
-def _kx_at_nu_minus(n, m, t, target, flip=False):
-    """The largest kx with nu_-(n, m, kx, -t kx) >= target, by bisection to
-    adjacent floats; with flip, nu_- of the partial transpose (kp -> t kx)."""
-    sign = 1.0 if flip else -1.0
-    lo, hi = 0.0, math.sqrt(n * m)
-    while True:
-        kx = 0.5 * (lo + hi)
-        if kx in (lo, hi):
-            return lo
-        if n * m > kx * kx and standard_form_nu(n, m, kx, sign * t * kx)[0] >= target:
-            lo = kx
-        else:
-            hi = kx
-
-
 def test_ppt_band_is_separable():
     # a partial transpose with nu~_- in [1 - TOL_PSD, 1) is bona fide within
     # the tolerance, so the state is separable (Simon's criterion).  These
@@ -326,7 +312,7 @@ def test_ppt_band_is_separable():
     states = [StandardFormParams(1.0 + eps, 10.0, 5e-5, -2.5e-5)
               for eps in (1e-10, 1e-11)]
     for n, m, t in ((2.0, 3.0, 0.5), (1.3, 7.0, 0.9), (4.0, 1.1, 0.2)):
-        kx = _kx_at_nu_minus(n, m, t, 1.0 - 5e-10, flip=True)
+        kx = kx_at_nu_minus(n, m, t, 1.0 - 5e-10, flip=True)
         states.append(StandardFormParams(n, m, kx, -t * kx))
     for p in states:
         for q in (p, StandardFormParams(p.m, p.n, p.kx, p.kp)):
@@ -359,7 +345,7 @@ def test_no_root_failure_at_the_bona_fide_edge_near_the_vacuum():
         n = 1.0 + 10.0 ** rng.uniform(-12.0, -9.0)
         m = math.exp(rng.uniform(math.log(1.001), math.log(1e4)))
         t = rng.uniform(0.0, 1.0)
-        kx = _kx_at_nu_minus(n, m, t, 1.0 + side * rng.uniform(0.0, TOL_PSD))
+        kx = kx_at_nu_minus(n, m, t, 1.0 + side * rng.uniform(0.0, TOL_PSD))
         for p in (StandardFormParams(n, m, kx, -t * kx),
                   StandardFormParams(m, n, kx, -t * kx)):
             assert validate_standard_form(p).is_bona_fide
@@ -424,6 +410,68 @@ def test_giovannetti_overflow_is_a_domain_error():
     for kappa, nbar in ((1e200, 0.0), (1e200, 50.0), (2.0, 1e300)):
         with pytest.raises(DomainError, match="parameters overflow at kappa"):
             giovannetti_family(kappa, nbar)
+
+
+def _family_member(kappa, nbar):
+    """The family's parameters as documented, and the nu_- they hold,
+    (sqrt((n + m)^2 - 4 kx^2) - (n - m)) / 2 for (n, m, kx, -kx), at 60
+    digits."""
+    n = 2.0 * (nbar + 1.0) * kappa - 1.0
+    m = 2.0 * (nbar + 1.0) * kappa - (2.0 * nbar + 1.0)
+    kx = 2.0 * (nbar + 1.0) * math.sqrt(kappa * (kappa - 1.0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dn, dm, dk = Decimal(n), Decimal(m), Decimal(kx)
+        nu = ((dn + dm) ** 2 - 4 * dk * dk).sqrt() - (dn - dm)
+    return StandardFormParams(n, m, kx, -kx), float(nu) / 2.0
+
+
+def test_giovannetti_members_off_the_vacuum_boundary_are_a_domain_error():
+    # every member lies on nu_- = 1; at large kappa the rounded parameters
+    # do not.  Below 1 - TOL_PSD eof() refused them as breaking the
+    # uncertainty relation (kappa = 86.5, nbar = 190), above 1 + TOL_PSD it
+    # printed a value for a state that is not the member (kappa = 1e7 holds
+    # nu_- = 1.02, and its EOF is 0.06 below g(kappa)); at kappa = 1.6e15
+    # nu_+^2 rounds to 0, where validation divided by 0
+    for kappa, nbar in ((86.5, 190.0), (300.0, 20.0), (300.0, 50.0),
+                        (1e7, 0.0), (1603497754608746.0, 50.0)):
+        with pytest.raises(DomainError, match=r"kappa = .*, nbar = .*nu_- = "):
+            giovannetti_family(kappa, nbar)
+    # standard_form_nu reads 3.5e-9 above 1 here, where the parameters
+    # hold 8.9e-11: the decision takes nm - kx^2 exactly
+    params, _, _ = giovannetti_family(300.0, 2.0)
+    assert abs(_family_member(300.0, 2.0)[1] - 1.0) < 1e-10
+    assert standard_form_nu(params.n, params.m, params.kx, params.kp)[0] > 1.0 + 3e-9
+
+
+def test_giovannetti_family_unchanged_where_its_parameters_hold_the_member():
+    # kappa <= 100 with nbar <= 200: DomainError falls exactly where the
+    # rounded parameters hold nu_- more than TOL_PSD from 1, and only on
+    # members that eof() refused before; elsewhere eof() decides, as before
+    refused = 0
+    for kappa in range(1, 101):
+        for nbar in range(201):
+            params, nu_minus = _family_member(float(kappa), float(nbar))
+            off = abs(nu_minus - 1.0) > TOL_PSD
+            try:
+                eof(params)
+                accepted = True
+            except InvalidState:
+                accepted = False
+            try:
+                giovannetti_family(float(kappa), float(nbar))
+                outcome = "returned"
+            except DomainError:
+                outcome = "refused"
+                refused += 1
+            except InvalidState:
+                outcome = "invalid"
+            expect = ("refused" if off else
+                      "returned" if accepted else "invalid")
+            assert outcome == expect, (kappa, nbar, nu_minus)
+            # so no member printed before is refused now
+            assert not (off and accepted), (kappa, nbar, nu_minus)
+    assert refused == 12
 
 
 def test_giovannetti_below_gain_entropy():

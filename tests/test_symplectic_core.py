@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussian_eof import (DomainError, InvalidState, NonFiniteEntry,
-                          StandardFormParams, reduce_to_standard_params,
+from gaussian_eof import (DomainError, GaussianEofError, InvalidState,
+                          NonFiniteEntry, StandardFormParams, reduce_to_standard_params,
                           squeezed_vacuum_cm, standard_form_cm,
                           standard_form_nu, validate_cm,
                           validate_standard_form)
@@ -248,6 +249,52 @@ def test_reduction_validation_matches_eigen_solve():
         seen.add(outcome)
     assert seen == {"bona fide", "not symmetric", "not positive",
                     "symplectic eigenvalues"}
+
+
+def test_reduction_reads_validate_cm():
+    # one decision per raw CM: the reduction raises exactly what validate_cm
+    # raises, refuses exactly what its report refuses, and otherwise returns
+    # the report's form with kp <= 0.  The first matrix underflows in the
+    # normalisation (DomainError), where the reduction used to report it
+    # not symmetric; the next ones underflow, overflow or are not finite
+    edge = [[[1e-100, 0.0, 1e-11, 0.0], [0.0, 1e-100, 0.0, 0.0],
+             [0.0, 0.0, 1e-100, 0.0], [0.0, 0.0, 0.0, 1e-100]],
+            1e-100 * np.eye(4), 1e-200 * np.eye(4), 1e150 * np.eye(4),
+            1e200 * np.eye(4), np.diag([1.0, np.inf, 1.0, 1.0]), np.eye(3)]
+    seen = set()
+    for gamma in edge + _raw_matrices(np.random.default_rng(53), 4000):
+        try:
+            report = validate_cm(gamma)
+        except GaussianEofError as exc:
+            with pytest.raises(GaussianEofError) as info:
+                reduce_to_standard_params(gamma)
+            assert (info.type, str(info.value)) == (type(exc), str(exc))
+            seen.add(type(exc).__name__)
+            continue
+        if not report.is_bona_fide:
+            with pytest.raises(InvalidState):
+                reduce_to_standard_params(gamma)
+            seen.add("refused")
+            continue
+        form = report.form
+        assert validate_standard_form(form) == report
+        expect = (form.n, form.m, form.kx, -abs(form.kp))
+        if form.is_product:
+            expect = (form.n, form.m, 0.0, 0.0)
+        out = reduce_to_standard_params(gamma)
+        assert (out.n, out.m, out.kx, out.kp) == expect
+        seen.add("reduced")
+    assert seen == {"DomainError", "NonFiniteEntry", "refused", "reduced"}
+
+
+def test_validity_report_form_stays_out_of_the_verdict():
+    params = StandardFormParams(2.0, 1.5, 1.0, -1.0)
+    report = validate_standard_form(params)
+    assert report.form is params
+    assert validate_cm(standard_form_cm(params, 1.0, 1.0)).form == params
+    assert report == replace(report, form=None)
+    assert "form" not in report.to_dict() and "form" not in repr(report)
+    assert validate_cm(np.diag([1.0, -1.0, 1.0, 1.0])).form is None
 
 
 def _numpy_raw_cm(gamma):
