@@ -50,7 +50,7 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
     if report.epr.separable:
         raise DomainError("separable states have no squeezed-state decomposition")
     r_opt = r_from_delta_prime(report.epr.delta0_prime)
-    gamma_sigma = standard_form_cm(report.params)
+    gamma_sigma = standard_form_cm(report.params, report.epr.r1, report.epr.r2)
     m_weight = gamma_sigma - squeezed_vacuum_cm(r_opt)
     eigvals = np.linalg.eigvalsh(m_weight)
     if eigvals[0] < -PSD_TOL:

@@ -20,7 +20,7 @@ from .standard_form_solver import (CriticalParams, critical_params,
 _LN2 = math.log(2.0)
 # the EPR quantities reported for a state found separable before any solve
 _SEPARABLE = EprQuantities(a0=1.0, b0=0.0, delta0=1.0, delta0_prime=1.0,
-                           separable=True)
+                           separable=True, r1=1.0, r2=1.0)
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class EofReport:
 
     def to_dict(self) -> dict:
         return {
-            "params": self.params.to_dict(),
+            "params": dict(self.params.to_dict(), r1=self.epr.r1, r2=self.epr.r2),
             "a0": self.epr.a0,
             "b0": self.epr.b0,
             "delta0": self.epr.delta0,
@@ -97,8 +97,7 @@ def eof(params: StandardFormParams) -> EofReport:
     """
     check_canonical(params)
     if params.is_product:
-        return _report(params.with_squeezings(1.0, 1.0), _SEPARABLE,
-                       "separable")
+        return _report(params, _SEPARABLE, "separable")
     report = validate_standard_form(params)
     if not report.is_positive:
         raise InvalidState("parameters describe no positive matrix "
@@ -116,8 +115,7 @@ def eof(params: StandardFormParams) -> EofReport:
         return closed
     if (n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12
             or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
-        return _report(params.with_squeezings(1.0, 1.0), _SEPARABLE,
-                       "separable")
+        return _report(params, _SEPARABLE, "separable")
     if abs(kx + kp) <= 1e-12 * kx:
         return _squeezed_thermal(params)
     sol = solve_squeezings(params)
@@ -125,8 +123,7 @@ def eof(params: StandardFormParams) -> EofReport:
         crit = critical_params(params, sol)
     except Degenerate:
         crit = CriticalParams(a0=1.0, b0=0.0)
-    return _report(params.with_squeezings(sol.r1, sol.r2),
-                   delta0(params, sol, crit), "general")
+    return _report(params, delta0(params, sol, crit), "general")
 
 
 def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
@@ -135,19 +132,18 @@ def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
     Zero when the argument reaches 1 (separable).  (n, n, kx, kp) must be
     an admissible standard form (check_canonical); physicality beyond
     positivity of the argument is the caller's responsibility.
+    r1 = r2 = sqrt((n + kp)/(n - kx)), separable or not.
     """
-    arg2 = (n - kx) * (n + kp)
-    # r before the check (arg2 > 0 keeps it from raising): one object
-    # serves the check and the report
-    r = math.sqrt((n + kp) / (n - kx)) if arg2 > 0.0 else math.nan
-    params = StandardFormParams(n, n, kx, kp, r, r)
+    params = StandardFormParams(n, n, kx, kp)
     check_canonical(params)
+    arg2 = (n - kx) * (n + kp)
     if arg2 <= 0.0:
         raise DomainError(
             f"(n - kx)(n + kp) = {arg2} <= 0: not a positive matrix")
-    d0 = math.sqrt(arg2)
-    epr = _SEPARABLE if d0 >= 1.0 else EprQuantities(
-        a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0, separable=False)
+    d0 = min(math.sqrt(arg2), 1.0)
+    r = math.sqrt((n + kp) / (n - kx))
+    epr = EprQuantities(a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0,
+                        separable=d0 == 1.0, r1=r, r2=r)
     return _report(params, epr, "symmetric")
 
 
@@ -186,8 +182,8 @@ def _squeezed_thermal(params: StandardFormParams) -> EofReport:
           / (math.sqrt(nt) + math.sqrt(mt))) ** 2
     epr = EprQuantities(a0=(mt / nt) ** 0.25, b0=abs(n - m) / (n + m - 2.0),
                         delta0=(n * mt + m * nt - 2.0 * cross) / (nt + mt),
-                        delta0_prime=dp, separable=False)
-    return _report(params.with_squeezings(1.0, 1.0), epr, "squeezed_thermal")
+                        delta0_prime=dp, separable=False, r1=1.0, r2=1.0)
+    return _report(params, epr, "squeezed_thermal")
 
 
 def g_kappa(kappa: float) -> float:

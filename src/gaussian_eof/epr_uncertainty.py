@@ -6,6 +6,9 @@ and clamped at 1.  At the critical parameter a = -a0 the condition
 Delta < 1 is necessary and sufficient for entanglement, and the transform
 Delta -> Delta' maps the uncertainty to e^(-2r) of the two-mode squeezed
 state that optimally decomposes the state.
+
+The squeezing factors (r1, r2) place a standard form (n, m, kx, kp) in the
+fully reduced form the uncertainty is evaluated in; EprQuantities carries them.
 """
 
 import math
@@ -26,22 +29,24 @@ class EprQuantities:
     delta0: float        # clamped to [b0, 1]
     delta0_prime: float
     separable: bool      # unclamped uncertainty reached 1
+    r1: float            # the squeezing factors of the reduced form
+    r2: float
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def delta_general(params: StandardFormParams, a: float) -> float:
-    """EPR-like uncertainty of a solved standard form at Duan parameter a.
+def delta_general(params: StandardFormParams, r1: float, r2: float, a: float) -> float:
+    """EPR-like uncertainty of the reduced form (params, r1, r2) at Duan parameter a.
 
     Returns min(1, raw): the full-precision ratio is formed first and the
     clamp applied at the end.
     """
     if a == 0.0 or not math.isfinite(a):
         raise DomainError("Duan parameter a must be a nonzero finite real")
-    if params.r1 is None or params.r2 is None:
-        raise DomainError("params must carry solved squeezing factors")
-    return min(1.0, _delta_raw(params, params.r1, params.r2, a))
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError("squeezing factors must be positive and finite")
+    return min(1.0, _delta_raw(params, r1, r2, a))
 
 
 def _delta_raw(params: StandardFormParams, r1: float, r2: float, a: float) -> float:
@@ -72,21 +77,35 @@ def delta0(params: StandardFormParams, sol: SqueezingSolution,
     separable = raw >= 1.0
     d0p = delta_prime(d0, b0)
     return EprQuantities(a0=crit.a0, b0=b0, delta0=d0, delta0_prime=d0p,
-                         separable=separable)
+                         separable=separable, r1=sol.r1, r2=sol.r2)
 
 
 def delta_pure_squeezed(r: float, a: float) -> float:
     """Uncertainty of the pure two-mode squeezed state at negative a.
 
-    min(1, cosh 2r - (2 / (a^2 + 1/a^2)) sinh 2r); the minimum over r is
-    the floor b(a), attained at tanh 2r = 2 / (a^2 + 1/a^2).
+    min(1, cosh 2r - eta sinh 2r), eta = 2 / (a^2 + 1/a^2), whose minimum
+    over r is the floor b(a), at tanh 2r = eta.  Evaluated as e^{-2r} +
+    (1 - eta) sinh 2r, 1 - eta = (a^2 - 1)^2 / (a^4 + 1), which nothing
+    cancels, in the smaller of |a|, 1/|a| (eta(a) = eta(1/a)), where nothing
+    overflows.  Where sinh 2r overflows the value is 1: 1 - eta is 0 or >= 1e-32.
     """
     if a >= 0.0 or not math.isfinite(a):
         raise DomainError("a must be negative")
     if r < 0.0 or not math.isfinite(r):
         raise DomainError("r must be finite and >= 0")
-    eta = 2.0 / (a * a + 1.0 / (a * a))
-    return min(1.0, math.cosh(2.0 * r) - eta * math.sinh(2.0 * r))
+    x = -a
+    if x <= 1.0:
+        gap, w = (1.0 - x) * (1.0 + x), x
+    else:
+        gap, w = (x - 1.0) / x * ((x + 1.0) / x), 1.0 / x
+    one_minus_eta = gap * gap / (1.0 + w ** 4)
+    if one_minus_eta == 0.0:   # a = -1: sinh 2r may overflow times 0
+        return math.exp(-2.0 * r)
+    try:
+        sinh = math.sinh(2.0 * r)
+    except OverflowError:
+        return 1.0
+    return min(1.0, math.exp(-2.0 * r) + one_minus_eta * sinh)
 
 
 def uncertainty_floor(a: float) -> float:

@@ -9,9 +9,7 @@ Conventions used throughout the package:
 * a matrix is a bona fide CM iff both symplectic eigenvalues are >= 1.
 
 Standard form parameters (n, m, kx, kp) refer to the locally-equivalent CM
-with diagonal blocks n*I, m*I and off-diagonal block diag(kx, kp); the
-one-mode squeezing factors (r1, r2), when present, place the CM in the
-fully reduced form used by the EPR-uncertainty pipeline.
+with diagonal blocks n*I, m*I and off-diagonal block diag(kx, kp).
 
 Raw matrices are validated and reduced here too, in closed form:
 reduce_to_standard_params reads the signed standard form validate_cm judged.
@@ -33,7 +31,7 @@ TOL_PRODUCT = 1e-12   # |kx|, |kp| below this means product state
 
 @dataclass(frozen=True)
 class StandardFormParams:
-    """Standard-form description (n, m, kx, kp) plus optional squeezing factors.
+    """Standard-form description (n, m, kx, kp) of a two-mode state.
 
     n and m are the local symplectic invariants sqrt(det A), sqrt(det B) of
     the two mode blocks; kx and kp are the x and p correlations after
@@ -44,15 +42,10 @@ class StandardFormParams:
     m: float
     kx: float
     kp: float
-    r1: float | None = None
-    r2: float | None = None
 
     @property
     def is_product(self) -> bool:
         return abs(self.kx) < TOL_PRODUCT and abs(self.kp) < TOL_PRODUCT
-
-    def with_squeezings(self, r1: float, r2: float) -> "StandardFormParams":
-        return StandardFormParams(self.n, self.m, self.kx, self.kp, r1, r2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,6 +202,8 @@ def _signed_form(a0, a1, c00, c01, a2, c10, c11, b0, b1, b2):
     """
     det_a = a0 * a2 - a1 * a1
     det_b = b0 * b2 - b1 * b1
+    if math.isnan(det_a) or math.isnan(det_b):   # inf - inf
+        raise DomainError("covariance matrix entries leave the float range")
     if not (a0 > 0.0 and det_a > 0.0 and b0 > 0.0 and det_b > 0.0):
         return None
     n = math.sqrt(det_a)

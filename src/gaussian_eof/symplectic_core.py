@@ -27,20 +27,15 @@ def squeezed_vacuum_cm(r: float) -> np.ndarray:
     ])
 
 
-def standard_form_cm(params: StandardFormParams,
-                     r1: float | None = None,
-                     r2: float | None = None) -> np.ndarray:
-    """Assemble the standard-form CM, optionally with squeezing factors.
+def standard_form_cm(params: StandardFormParams, r1: float,
+                     r2: float) -> np.ndarray:
+    """Assemble the standard-form CM reduced by the squeezing factors (r1, r2).
 
     With r1 = r2 = 1 this is the plain (n, m, kx, kp) form; otherwise the
     x entries are scaled up by the r's and the p entries down.
     """
-    r1 = params.r1 if r1 is None else r1
-    r2 = params.r2 if r2 is None else r2
-    r1 = 1.0 if r1 is None else r1
-    r2 = 1.0 if r2 is None else r2
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise DomainError("squeezing factors must be positive")
+    if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
+        raise DomainError("squeezing factors must be positive and finite")
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     s = np.sqrt(r1 * r2)
     return np.array([

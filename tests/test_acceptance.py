@@ -290,7 +290,8 @@ def test_criterion8_exact_identity(table1_params):
     worst = 0.0
     for idx in (1, 5):
         report = eof(table1_params[idx])
-        gamma_sigma = standard_form_cm(report.params)
+        gamma_sigma = standard_form_cm(report.params, report.epr.r1,
+                                       report.epr.r2)
         r_opt = r_from_delta_prime(report.epr.delta0_prime)
         m_weight = gamma_sigma - squeezed_vacuum_cm(r_opt)
         dev = float(np.abs(squeezed_vacuum_cm(r_opt) + m_weight
@@ -322,7 +323,7 @@ def test_criterion8_reconstruction(table1, table1_params, row_index):
     else:
         refused = False
     report = eof(params)
-    m_weight = (standard_form_cm(report.params)
+    m_weight = (standard_form_cm(report.params, report.epr.r1, report.epr.r2)
                 - squeezed_vacuum_cm(r_from_delta_prime(report.epr.delta0_prime)))
     min_eig = float(np.linalg.eigvalsh(m_weight)[0])
     exact = WEIGHT_MIN_EIG_50_DIGITS[row_index]

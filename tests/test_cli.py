@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import json
 import math
 import pathlib
@@ -184,10 +185,12 @@ _ROUNDED = ["--params", "1.635567709700921e+17", "1.63556770970092e+17",
 @pytest.mark.parametrize("argv", [
     ["eof", *_HUGE], ["bounds", *_HUGE], ["validate", "--input", "{huge}"],
     ["eof", "--input", "{huge}"], ["eof", *_HUGER], ["eof", *_ROUNDED],
-    ["validate", "--input", "{huger}"], ["eof", "--input", "{huger}"]],
+    ["validate", "--input", "{huger}"], ["eof", "--input", "{huger}"],
+    ["validate", "--input", "{coupled}"], ["eof", "--input", "{coupled}"]],
     ids=["eof", "bounds", "validate --input", "eof --input", "eof 1e200",
          "eof nu_+ rounded to 0", "validate --input 1e200",
-         "eof --input 1e200"])
+         "eof --input 1e200", "validate --input 1e200 coupled",
+         "eof --input 1e200 coupled"])
 def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # (n^2 - m^2)^2 overflows in standard_form_nu (squared by
     # multiplication it is inf, where ** raised OverflowError), and so does
@@ -195,11 +198,16 @@ def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # JSON, and bona fide.  Such a state is outside the float range, which
     # is no broken uncertainty relation.  So are n m = inf, which read as
     # "no positive matrix", and the normalisation of 1e200 I, whose NaN
-    # entries read as NonFiniteEntry although every entry is finite
+    # entries read as NonFiniteEntry although every entry is finite.  A
+    # positive matrix with large off-diagonal entries, whose det A = inf - inf
+    # is NaN, read as not positive
+    coupled = np.kron(np.eye(2), [[2.0, 1.0], [1.0, 2.0]])
     files = {}
-    for key, size in (("{huge}", 1e150), ("{huger}", 1e200)):
-        files[key] = tmp_path / f"{size:g}.json"
-        files[key].write_text(json.dumps({"gamma": (size * np.eye(4)).tolist()}))
+    for key, gamma in (("{huge}", 1e150 * np.eye(4)),
+                       ("{huger}", 1e200 * np.eye(4)),
+                       ("{coupled}", 1e200 * coupled)):
+        files[key] = tmp_path / f"{key[1:-1]}.json"
+        files[key].write_text(json.dumps({"gamma": gamma.tolist()}))
     code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
@@ -223,7 +231,7 @@ def test_eof_from_a_matrix_reaches_validate_cm(tmp_path, capsys, monkeypatch):
         if (name.startswith("gaussian_eof")
                 and getattr(module, "validate_cm", None) is validate):
             monkeypatch.setattr(module, "validate_cm", counted)
-    gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.2, -1.0))
+    gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.2, -1.0), 1.0, 1.0)
     gaussian_eof.eof_from_cm(gamma)
     assert len(calls) == 1
     path = tmp_path / "state.json"
@@ -347,6 +355,42 @@ def test_figure1_minimum_matches_floor(capsys):
 def test_figure1_rejects_positive_a(capsys):
     code, _, err = run_cli(capsys, "figure1", "--a", "1.0")
     assert code == 1
+
+
+def _pure_curve_50_digits(a, r):
+    """min(1, cosh 2r - eta sinh 2r), eta = 2 / (a^2 + 1/a^2), at 50 digits."""
+    with decimal.localcontext(prec=50):
+        a, e = decimal.Decimal(a), (2 * decimal.Decimal(r)).exp()
+        eta = 2 / (a * a + 1 / (a * a))
+        return float(min(1, (e + 1 / e) / 2 - eta * (e - 1 / e) / 2))
+
+
+def test_figure1_matches_a_50_digit_evaluation(capsys):
+    # cosh 2r - eta sinh 2r cancels at eta = 1 (a = -1): from r ~ 2.3 the
+    # printed cells drifted from e^{-2r}, by 0.69 % at r = 8
+    code, out, _ = run_cli(capsys, "figure1", "--points", "101")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "a,r,delta"
+    grid = np.linspace(0.0, 8.0, 101)
+    expect = [f"{a:.12g},{r:.12g},{_pure_curve_50_digits(a, r):.12g}"
+              for a in (-1.0, -1.2, -1.5) for r in grid.tolist()]
+    assert [ln for ln, want in zip(lines[1:], expect) if ln != want] == []
+    assert len(lines) == 1 + len(expect)
+
+
+def test_figure1_past_the_overflow_of_sinh(capsys):
+    # cosh 2r and sinh 2r overflow past r ~ 355, which raised OverflowError
+    code, out, err = run_cli(capsys, "figure1", "--r-max", "400")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "a,r,delta" and len(lines) == 1 + 3 * 2001
+    assert lines[-1] == "-1.5,400,1"
+    # a^2 underflowed to 0 at a = -1e-200, and 1/a^2 raised ZeroDivisionError
+    code, out, err = run_cli(capsys, "figure1", "--a=-1e-200", "--a=-1e200",
+                             "--r-max", "400", "--points", "3")
+    assert (code, err) == (0, "")
+    assert [ln.split(",")[2] for ln in out.splitlines()[1:]] == ["1"] * 6
 
 
 def test_sweep_family_csv(capsys):

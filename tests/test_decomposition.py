@@ -103,7 +103,7 @@ def test_reconstruction_needs_a_sample():
 def test_reconstruction_exact_identity():
     # gamma_psi + M = gamma_sigma holds exactly by construction
     report = eof(SYMMETRIC)
-    gamma_sigma = standard_form_cm(report.params)
+    gamma_sigma = standard_form_cm(report.params, report.epr.r1, report.epr.r2)
     r_opt = r_from_delta_prime(report.epr.delta0_prime)
     m_weight = gamma_sigma - squeezed_vacuum_cm(r_opt)
     assert np.allclose(squeezed_vacuum_cm(r_opt) + m_weight, gamma_sigma,

@@ -7,8 +7,9 @@ import pytest
 from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
                           StandardFormParams, bounds_report, eof,
                           gaussian_eof as g_eof, eof_from_cm, f_aux, g_kappa,
-                          giovannetti_family, squeezed_thermal_eof,
-                          squeezed_vacuum_cm, standard_form_nu, symmetric_eof,
+                          giovannetti_family, solve_squeezings,
+                          squeezed_thermal_eof, squeezed_vacuum_cm,
+                          standard_form_nu, symmetric_eof,
                           validate_standard_form)
 from gaussian_eof import eof_core
 from gaussian_eof.standard_form import TOL_PSD
@@ -291,6 +292,18 @@ def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
         assert report.method == "separable" and report.eof == 0.0
 
 
+def test_eof_reports_the_params_it_was_given():
+    # the solved squeezings sit on the EPR quantities, not on the params
+    for p, method in ((StandardFormParams(2.0, 1.5, 0.3, -0.1), "separable"),
+                      (StandardFormParams(2.0, 1.5, 1.0, -1.0), "squeezed_thermal"),
+                      (StandardFormParams(2.3, 1.7, 1.1, -0.9), "general")):
+        report = eof(p)
+        assert report.method == method
+        assert report.params == p
+    sol = solve_squeezings(p)   # the general state's
+    assert (report.epr.r1, report.epr.r2) == (sol.r1, sol.r2)
+
+
 def test_vacuum_mode_is_separable_on_the_general_route():
     # kx != -kp: these states used to reach the squeezing solve, which has
     # no root (the r1 window [1, n] is empty at n = 1); a mode within 1e-12
@@ -301,7 +314,7 @@ def test_vacuum_mode_is_separable_on_the_general_route():
             report = eof(p)
             assert report.method == "separable" and report.eof == 0.0
             assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
-            assert (report.params.r1, report.params.r2) == (1.0, 1.0)
+            assert (report.epr.r1, report.epr.r2) == (1.0, 1.0)
 
 
 def test_ppt_band_is_separable():

@@ -15,30 +15,34 @@ from conftest import ppt_nu_minus, random_bona_fide_params, random_entangled_par
 
 def _solved(n, m, kx, kp):
     p = StandardFormParams(n, m, kx, kp)
-    sol = solve_squeezings(p)
-    return p.with_squeezings(sol.r1, sol.r2), sol
+    return p, solve_squeezings(p)
 
 
 def test_vacuum_uncertainty_is_one():
-    p = StandardFormParams(1.0, 1.0, 0.0, 0.0, r1=1.0, r2=1.0)
+    p = StandardFormParams(1.0, 1.0, 0.0, 0.0)
     for a in (-2.0, -1.0, -0.3, 0.7, 1.0):
-        assert delta_general(p, a) == pytest.approx(1.0, abs=1e-14)
+        assert delta_general(p, 1.0, 1.0, a) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_squeezed_vacuum_uncertainty():
     r = 0.4
     p = StandardFormParams(math.cosh(2 * r), math.cosh(2 * r),
-                           math.sinh(2 * r), -math.sinh(2 * r), r1=1.0, r2=1.0)
-    assert delta_general(p, -1.0) == pytest.approx(math.exp(-2 * r), abs=1e-12)
-    assert delta_general(p, +1.0) == 1.0  # clamped
+                           math.sinh(2 * r), -math.sinh(2 * r))
+    assert delta_general(p, 1.0, 1.0, -1.0) == pytest.approx(math.exp(-2 * r), abs=1e-12)
+    assert delta_general(p, 1.0, 1.0, +1.0) == 1.0  # clamped
 
 
 def test_delta_general_requires_solved_params():
+    p = StandardFormParams(2.0, 2.0, 1.0, -0.5)
     with pytest.raises(DomainError):
-        delta_general(StandardFormParams(2.0, 2.0, 1.0, -0.5), -1.0)
-    p = StandardFormParams(2.0, 2.0, 1.0, -0.5, r1=1.0, r2=1.0)
+        delta_general(p, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (1.0, math.nan),
+                                    (1.0, math.inf), (0.0, 1.0), (1.0, -1.2)])
+def test_delta_general_refuses_bad_squeezing_factors(r1, r2):
     with pytest.raises(DomainError):
-        delta_general(p, 0.0)
+        delta_general(StandardFormParams(2.0, 2.0, 1.0, -0.5), r1, r2, -1.0)
 
 
 def test_delta_pure_squeezed_examples():
@@ -133,8 +137,7 @@ def test_delta0_matches_delta_general_at_critical_parameter():
         sol = solve_squeezings(p)
         crit = critical_params(p, sol)
         epr = delta0(p, sol, crit)
-        solved = p.with_squeezings(sol.r1, sol.r2)
-        assert delta_general(solved, -crit.a0) == pytest.approx(
+        assert delta_general(p, sol.r1, sol.r2, -crit.a0) == pytest.approx(
             epr.delta0, abs=1e-12)
 
 
@@ -187,6 +190,6 @@ def test_delta0_rejects_uncertainty_below_floor():
 
 def test_epr_quantities_serialization():
     epr = EprQuantities(a0=1.0, b0=0.0, delta0=0.5, delta0_prime=0.5,
-                        separable=False)
+                        separable=False, r1=1.0, r2=1.0)
     d = epr.to_dict()
     assert d["delta0"] == 0.5 and d["separable"] is False

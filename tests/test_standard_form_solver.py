@@ -82,7 +82,7 @@ def test_symmetric_closed_form():
     expect = math.sqrt(1.5 / 1.0)
     report = eof(p)
     assert report.method == "separable"
-    assert report.params.r1 == report.params.r2 == expect
+    assert report.epr.r1 == report.epr.r2 == expect
     sol = solve_squeezings(p)
     assert sol.r1 == pytest.approx(expect, abs=1e-14)
     assert sol.r2 == pytest.approx(expect, abs=1e-14)
@@ -135,7 +135,7 @@ def test_general_solver_agrees_with_closed_forms():
               StandardFormParams(3.0, 3.0, 1.4, -1.1),
               StandardFormParams(2.0, 1.5, 1.0, -1.0),
               StandardFormParams(2.6, 1.7, 1.1, -1.1)):
-        closed = eof(p).params  # squeezings of the closed form
+        closed = eof(p).epr  # squeezings of the closed form
         general = solve_squeezings(p)
         assert general.r1 == pytest.approx(closed.r1, abs=1e-10)
         assert general.r2 == pytest.approx(closed.r2, abs=1e-10)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -430,13 +430,24 @@ def test_params_json_roundtrip():
 
 
 def test_standard_form_cm_uses_solved_factors():
-    params = StandardFormParams(2.0, 2.0, 1.0, -0.5, r1=1.2, r2=1.2)
-    gamma = standard_form_cm(params)
+    params = StandardFormParams(2.0, 2.0, 1.0, -0.5)
+    gamma = standard_form_cm(params, 1.2, 1.2)
     assert gamma[0, 0] == pytest.approx(2.4)
     assert gamma[1, 1] == pytest.approx(2.0 / 1.2)
     assert gamma[0, 2] == pytest.approx(1.2 * 1.0)
     with pytest.raises(DomainError):
         standard_form_cm(params, r1=-1.0, r2=1.0)
+
+
+def test_standard_form_params_are_the_state_alone():
+    assert [f.name for f in fields(StandardFormParams)] == ["n", "m", "kx", "kp"]
+
+
+@pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (1.0, math.nan),
+                                    (math.inf, 1.0), (1.0, 0.0), (-1.2, 1.0)])
+def test_standard_form_cm_refuses_bad_squeezing_factors(r1, r2):
+    with pytest.raises(DomainError):
+        standard_form_cm(StandardFormParams(2.0, 2.0, 1.0, -0.5), r1, r2)
 
 
 def _nu_50_digits(n, m, kx, kp):
