@@ -9,10 +9,10 @@ K = C_x - C_p^{-1} is PSD, which by the Schur complement holds exactly for
 bona fide states, where negative parts of K are rounding.  The optimum
 touches both ends, Gamma - C_p^{-1} and C_x - Gamma of rank one, and those
 Gammas form one ellipse in the angle theta (minimize_reduced_determinant),
-on which 1 + x1^2 / det Gamma is smooth.  It is scanned coarsely and
-polished by Brent's parabolic minimization, in scalar arithmetic.
+on which 1 + x1^2 / det Gamma is stationary at the roots of a quartic.
 """
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -21,8 +21,7 @@ from .errors import Infeasible, SandwichViolation
 from .standard_form import (StandardFormParams, check_canonical,
                             validate_standard_form)
 
-SCAN_POINTS = 16
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))   # a cube root of 1
 _VACUUM_TOL = 1e-13   # |det K| <= this * K11 K22: nu_- = 1, K has rank one
 SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
@@ -100,18 +99,19 @@ def minimize_reduced_determinant(params: StandardFormParams
     sqrt(tr K + 2 sqrt(det K)) and the reflection R(theta) =
     [[cos, sin], [sin, -cos]], the pure-state blocks touching both
     constraints are Gamma(theta) = C_p^{-1} + (K + S R(theta) S) / 2: both
-    Gamma - C_p^{-1} and C_x - Gamma are then rank-one PSD.  Scans the
-    2 SCAN_POINTS angles at which x1(theta) = c + a cos(theta - phi) takes
-    the midpoints of SCAN_POINTS equal cells of its range (within
-    [-kx, kx]), on both halves of the ellipse, and polishes the best by
-    Brent's localmin between its neighbouring angles, around the ellipse.
-    The scan points crowd towards the ends of the x1 range, where the
-    objective can have a narrow basin.  At nu_- = 1, K has rank one and
-    det K = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p is rounding noise that
-    standard_form_nu cannot resolve at large n; within _VACUUM_TOL K11 K22
-    it is taken as 0, S = K / sqrt(tr K), and the ellipse is a segment
-    traversed twice, with no separate path; tr K <= 0 means K = 0, a pure
-    state.  The result is never above the best scan point.
+    Gamma - C_p^{-1} and C_x - Gamma are then rank-one PSD.  x1 and
+    D = det Gamma are affine in (cos theta, sin theta), so 1 + x1^2 / D is
+    stationary where x1 = 0 (m = 1: separable) or N = 2 x1' D - x1 D' = 0,
+    a quartic in t = tan((theta - theta0) / 2) with leading coefficient
+    N(theta0 + pi), theta0 the multiple of pi / 2 that makes it largest.
+    The best of theta0 + pi and the roots' real parts takes one Newton step
+    on N from Gamma(theta) itself, kept if it scores lower: in a narrow
+    basin N's coefficients cancel and misplace the root (by 1e-7 at n, m
+    near 1e5).  N = 0 where K = 0, a pure state.  At nu_- = 1, K has rank
+    one and det K = (nu_-^2 - 1)(nu_+^2 - 1) / det C_p is rounding noise
+    that standard_form_nu cannot resolve at large n; within _VACUUM_TOL
+    K11 K22 it is taken as 0, S = K / sqrt(tr K), and the ellipse is a
+    segment traversed twice, with no separate path.
 
     Raises:
         DomainError: parameters not finite or not canonical.
@@ -128,77 +128,74 @@ def minimize_reduced_determinant(params: StandardFormParams
     norm = math.sqrt(max(k11 + k22 + 2.0 * root, 0.0)) or math.inf
     s11, s22, s12 = (k11 + root) / norm, (k22 + root) / norm, k12 / norm
     ellipse = (p11, p22, p12, s11, s22, s12)
-    # x1(theta) = center + xc cos(theta) + xs sin(theta)
-    center = p12 + 0.5 * k12
+    # with w = (cos, sin)(theta / 2): x1 = p12 + y1 y2 = x0 + xc cos + xs sin,
+    # D = det C_p^{-1} + w^T S adj(C_p^{-1}) S w = d0 + dc cos + ds sin
+    x0 = p12 + 0.5 * k12
     xc, xs = 0.5 * s12 * (s11 - s22), 0.5 * (s11 * s22 + s12 * s12)
-    amp, phi = math.hypot(xc, xs) or 1.0, math.atan2(xs, xc)
-    kx = float(params.kx)
-    lo, hi = max(-kx, center - amp), min(kx, center + amp)
-    step = (hi - lo) / SCAN_POINTS
-    psis = [math.acos(max(-1.0, min(1.0, (x - center) / amp)))
-            for x in (lo + (i + 0.5) * step for i in range(SCAN_POINTS))]
-    thetas = [phi - psi for psi in psis] + [phi + psi for psi in psis[::-1]]
-    objs = [_objective(theta, ellipse) for theta in thetas]
-    i0 = min(range(len(thetas)), key=objs.__getitem__)
-    ring = [thetas[-1] - 2.0 * math.pi, *thetas, thetas[0] + 2.0 * math.pi]
-    theta, m_opt = _brent_polish(lambda t: _objective(t, ellipse), ring[i0],
-                                 ring[i0 + 2], thetas[i0], objs[i0])
+    a11, a12 = s11 * p22 - s12 * p12, s12 * p11 - s11 * p12   # S adj(C_p^{-1})
+    a21, a22 = s12 * p22 - s22 * p12, s22 * p11 - s12 * p12
+    m11, m22 = a11 * s11 + a12 * s12, a21 * s12 + a22 * s22
+    d0 = p11 * p22 - p12 * p12 + 0.5 * (m11 + m22)
+    dc, ds = 0.5 * (m11 - m22), a11 * s12 + a12 * s22
+    # N = a0 + a1 cos + b1 sin + a2 cos 2theta + b2 sin 2theta
+    a0 = 1.5 * (xs * dc - xc * ds)
+    a1, b1 = 2.0 * xs * d0 - x0 * ds, x0 * dc - 2.0 * xc * d0
+    a2, b2 = 0.5 * (xs * dc + xc * ds), 0.5 * (xs * ds - xc * dc)
+    rotated = ((a1, b1, a2, b2), (b1, -a1, -a2, -b2),   # seen from k pi / 2
+               (-a1, -b1, a2, b2), (-b1, a1, -a2, -b2))
+    k, (c1, s1, c2, s2) = max(enumerate(rotated),
+                              key=lambda kc: abs(a0 - kc[1][0] + kc[1][2]))
+    lead, theta0 = a0 - c1 + c2, 0.5 * math.pi * k
+    if lead == 0.0:   # N = b2 sin 2theta, 0 at the anchors, or N = 0
+        thetas = [0.5 * math.pi * i for i in range(4)]
+    else:
+        ts = _quartic_roots(lead, 2.0 * (s1 - 2.0 * s2), 2.0 * (a0 - 3.0 * c2),
+                            2.0 * (s1 + 2.0 * s2), a0 + c1 + c2)
+        thetas = [theta0 + math.pi] + [theta0 + 2.0 * math.atan(t.real) for t in ts]
+    amp = math.hypot(xc, xs)
+    if abs(x0) < amp:
+        thetas.append(math.atan2(xs, xc) + math.acos(-x0 / amp))
+    m_opt, theta = min((_objective(theta, ellipse), theta) for theta in thetas)
+    c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    y1, y2 = s11 * c + s12 * sn, s12 * c + s22 * sn
+    z1, z2 = s12 * c - s11 * sn, s22 * c - s12 * sn   # 2 dy / dtheta
+    u, v, x1 = _gamma(theta, ellipse)
+    n_theta = (z1 * y2 + y1 * z2) * u * v - x1 * (y1 * z1 * v + u * y2 * z2)
+    slope = (b1 * math.cos(theta) - a1 * math.sin(theta)
+             + 2.0 * (b2 * math.cos(2.0 * theta) - a2 * math.sin(2.0 * theta)))
+    step = theta - n_theta / slope if abs(n_theta) < math.pi * abs(slope) else theta
+    m_opt, theta = min((m_opt, theta), (_objective(step, ellipse), step))
     u, v, x1 = _gamma(theta, ellipse)
     return m_opt, GammaCandidate(x0=0.5 * (u + v), x1=x1, x3=0.5 * (u - v))
 
 
-def _brent_polish(f, a, b, x, fx):
-    """Brent's localmin of f on [a, b] from x, whose value is fx.
+def _quartic_roots(a, b, c, d, e):
+    """The complex roots of a t^4 + b t^3 + c t^2 + d t + e, a != 0, by Ferrari.
 
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    Stops at 1e-12 max(1, |x|) and returns the best point and its value.
+    t = y - s leaves y^4 + p y^2 + q y + r, which splits into two quadratics
+    through the root m of its resolvent cubic of largest size (Cardano); m is
+    0 only when p = q = r = 0, so a biquadratic (q = 0) needs no own branch.
     """
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol1 = 1e-12 * max(1.0, abs(x))
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            r = e
-            e = d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if (x + d) - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < mid else -tol1
-        else:
-            e = (b - x) if x < mid else (a - x)
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw = w, fw, x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+    s = 0.25 * b / a
+    c, d, e = c / a, d / a, e / a
+    p = c - 6.0 * s * s
+    q = d - 2.0 * s * c + 8.0 * s * s * s
+    r = e - s * d + s * s * (c - 3.0 * s * s)
+    # resolvent m^3 + p m^2 + g m - q^2 / 8; m = z - h leaves z^3 + f z + j
+    g, h = 0.25 * p * p - r, p / 3.0
+    f, j = g - 3.0 * h * h, h * (2.0 * h * h - g) - 0.125 * q * q
+    w = cmath.sqrt(0.25 * j * j + f * f * f / 27.0)
+    u = (-0.5 * j - (w if j >= 0.0 else -w)) ** (1.0 / 3.0)   # 0 iff f = j = 0
+    m = max(((u * z - f / (3.0 * u * z) if u else 0.0) - h
+             for z in (1.0, _OMEGA, _OMEGA.conjugate())), key=abs)
+    root = cmath.sqrt(2.0 * m)
+    if root == 0.0:   # y^4 = 0
+        return [-s]
+    ts = []
+    for sign in (1.0, -1.0):
+        disc = cmath.sqrt(-2.0 * (m + p + sign * q / root))
+        ts += [0.5 * (sign * root + disc) - s, 0.5 * (sign * root - disc) - s]
+    return ts
 
 
 def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:

@@ -109,10 +109,8 @@ def eof(params: StandardFormParams) -> EofReport:
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if report.is_pure or abs(n - m) <= 1e-12 * max(n, m):
         # a pure state is a two-mode squeezed vacuum, hence symmetric
-        closed = symmetric_eof(n, kx, kp)
-        if report.is_pure:
-            return _report(closed.params, closed.epr, "pure")
-        return closed
+        return _report(params, symmetric_eof(n, kx, kp).epr,
+                       "pure" if report.is_pure else "symmetric")
     if (n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12
             or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
         return _report(params, _SEPARABLE, "separable")

@@ -109,10 +109,14 @@ def delta_pure_squeezed(r: float, a: float) -> float:
 
 
 def uncertainty_floor(a: float) -> float:
-    """b(a) = sqrt(1 - 4/(a^2 + 1/a^2)^2), the minimum of the pure-state curve."""
+    """b(a) = sqrt(1 - 4/(a^2 + 1/a^2)^2), the minimum of the pure-state curve,
+    and its limit 1 where a^2 + 1/a^2 leaves the float range."""
     if a == 0.0 or not math.isfinite(a):
         raise DomainError("Duan parameter a must be a nonzero finite real")
-    return _uncertainty_floor(a * a)
+    try:
+        return _uncertainty_floor(a * a)
+    except (OverflowError, ZeroDivisionError):
+        return 1.0
 
 
 def delta_prime(delta: float, b: float) -> float:

@@ -293,8 +293,15 @@ def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
 
 
 def test_eof_reports_the_params_it_was_given():
-    # the solved squeezings sit on the EPR quantities, not on the params
-    for p, method in ((StandardFormParams(2.0, 1.5, 0.3, -0.1), "separable"),
+    # the solved squeezings sit on the EPR quantities, not on the params;
+    # the symmetric and pure closed forms take n for m within 1e-12, and
+    # report the m they were given
+    near = 1.25 * (1.0 + 2.0 ** -52)
+    for p, method in ((StandardFormParams(2.0, 2.0 + 1e-13, 1.5, -1.0), "symmetric"),
+                      (StandardFormParams(2.0 + 1e-13, 2.0, 1.5, -1.0), "symmetric"),
+                      (StandardFormParams(1.25, near, 0.75, -0.75), "pure"),
+                      (StandardFormParams(near, 1.25, 0.75, -0.75), "pure"),
+                      (StandardFormParams(2.0, 1.5, 0.3, -0.1), "separable"),
                       (StandardFormParams(2.0, 1.5, 1.0, -1.0), "squeezed_thermal"),
                       (StandardFormParams(2.3, 1.7, 1.1, -0.9), "general")):
         report = eof(p)

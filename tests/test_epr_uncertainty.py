@@ -8,7 +8,8 @@ from gaussian_eof import (DomainError, InvalidState, StandardFormParams,
                           delta_pure_squeezed, r_from_delta_prime,
                           solve_squeezings, uncertainty_floor)
 from gaussian_eof.epr_uncertainty import EprQuantities
-from gaussian_eof.standard_form_solver import CriticalParams, SqueezingSolution
+from gaussian_eof.standard_form_solver import (CriticalParams, SqueezingSolution,
+                                               _uncertainty_floor)
 
 from conftest import ppt_nu_minus, random_bona_fide_params, random_entangled_params
 
@@ -66,6 +67,23 @@ def test_pure_curve_minimum_matches_floor(a):
     i = int(np.argmin(vals))
     assert math.tanh(2 * rs[i]) == pytest.approx(eta, abs=2e-4)
     assert vals[i] == pytest.approx(uncertainty_floor(a), abs=1e-7)
+
+
+def test_uncertainty_floor_over_the_float_range():
+    # a^2 + 1/a^2 overflows, or a^2 underflows to 0, beyond about 1e+-77;
+    # the floor is then its limit 1, where the formula raised
+    # OverflowError or ZeroDivisionError, and unchanged where it returns
+    raised = 0
+    for mag in np.geomspace(1e-300, 1e300, 1201):
+        for a in (float(mag), -float(mag)):
+            try:
+                formula = _uncertainty_floor(a * a)
+            except (OverflowError, ZeroDivisionError):
+                formula = None
+                raised += 1
+            assert uncertainty_floor(a) == (1.0 if formula is None else formula), a
+    assert raised > 0
+    assert uncertainty_floor(1e-77) == uncertainty_floor(1e160) == 1.0
 
 
 def test_delta_prime_identities():
