@@ -18,12 +18,10 @@ from dataclasses import asdict, dataclass
 
 from .eof_core import EofReport, eof, f_aux, symmetric_eof
 from .errors import Infeasible, SandwichViolation
-from .standard_form import (StandardFormParams, check_canonical,
-                            validate_standard_form)
+from .standard_form import (_VACUUM_TOL, SANDWICH_TOL, StandardFormParams,
+                            check_canonical, validate_standard_form)
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))   # a cube root of 1
-_VACUUM_TOL = 1e-13   # |det K| <= this * K11 K22: nu_- = 1, K has rank one
-SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
 
 
 @dataclass(frozen=True)

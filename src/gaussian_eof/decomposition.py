@@ -17,10 +17,9 @@ import numpy as np
 from .eof_core import eof
 from .epr_uncertainty import r_from_delta_prime
 from .errors import DomainError, NotPsd
-from .standard_form import StandardFormParams
+from .standard_form import PSD_TOL, TOL_NULL_EIG, StandardFormParams
 from .symplectic_core import squeezed_vacuum_cm, standard_form_cm
 
-PSD_TOL = 1e-9
 _CHUNK = 16384
 
 
@@ -43,7 +42,7 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
 
     Raises:
         DomainError: separable input (the pipeline short-circuits upstream).
-        NotPsd: min eigenvalue of M below -1e-9, which flags an
+        NotPsd: min eigenvalue of M below -PSD_TOL, which flags an
             inconsistency between the claimed decomposition and the state.
     """
     report = eof(params)
@@ -66,16 +65,16 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     """Draw displacement vectors from the Gaussian weight, covariance M/2.
 
     Sampling goes through the symmetric square root of M/2; eigenvalues
-    within tolerance of zero are clamped, so rank-deficient weights sample
-    inside their column space.  The result is reproducible for a given
-    seed.
+    below TOL_NULL_EIG max(lam_max, 1) are clamped to zero, so
+    rank-deficient weights sample inside their column space.  The result
+    is reproducible for a given seed.
     """
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
     cov = 0.5 * spec.weight_matrix
     lam, vec = np.linalg.eigh(cov)
     # eigenvalues at numerical-noise level are null directions: exact zeros
-    lam[lam < 1e-12 * max(float(lam[-1]), 1.0)] = 0.0
+    lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
     # _CHUNK-sized draws from children spawned off the seed fix the random stream
     n_chunks = max((n_samples + _CHUNK - 1) // _CHUNK, 1)

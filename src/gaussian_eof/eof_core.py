@@ -7,13 +7,14 @@ critical Duan parameter and maps it through f to the EOF in bits.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .epr_uncertainty import EprQuantities, delta0
 from .errors import Degenerate, DomainError, InvalidState
-from .standard_form import (TOL_PSD, StandardFormParams, check_canonical,
-                            reduce_to_standard_params, standard_form_nu,
-                            validate_standard_form)
+from .standard_form import (
+    TOL_CANONICAL, TOL_PSD, TOL_RADICAND_ST, TOL_SQUEEZED_THERMAL,
+    TOL_SYMMETRIC, TOL_UNIT_INTERVAL, TOL_VACUUM_MODE, StandardFormParams,
+    check_canonical, reduce_to_standard_params, standard_form_nu,
+    validate_standard_form)
 from .standard_form_solver import (CriticalParams, critical_params,
                                    solve_squeezings)
 
@@ -53,7 +54,7 @@ def f_aux(delta: float) -> float:
     if not math.isfinite(delta) or delta <= 0.0:
         raise DomainError(f"f is defined on (0, 1], got {delta}")
     if delta > 1.0:
-        if delta > 1.0 + 1e-12:
+        if delta > 1.0 + TOL_UNIT_INTERVAL:
             raise DomainError(f"f is defined on (0, 1], got {delta}")
         delta = 1.0
     s = (1.0 - delta) ** 2 / (4.0 * delta)
@@ -80,14 +81,14 @@ def eof(params: StandardFormParams) -> EofReport:
     closed-form symplectic eigenvalues of its standard form
     (validate_standard_form), with no eigen-solve.
     Dispatch, decided here and nowhere else: product and separable states
-    report 0; pure and symmetric (n = m within 1e-12 relative) states take
-    the symmetric closed form; a state with a mode within 1e-12 of the
-    vacuum is a product (a pure mode carries no correlations), and a state
-    whose partial transpose is bona fide within TOL_PSD (its smaller
-    symplectic eigenvalue, standard_form_nu(n, m, kx, -kp)[0], is at least
-    1 - TOL_PSD) is separable by Simon's criterion (PRL 84, 2726 (2000));
-    both report separable with a0 = 1, b0 = 0 and r1 = r2 = 1.  Squeezed
-    thermal states (kx = -kp within 1e-12 relative) take the
+    report 0; pure and symmetric (n = m within TOL_SYMMETRIC relative)
+    states take the symmetric closed form; a state with a mode within
+    TOL_VACUUM_MODE of the vacuum is a product (a pure mode carries no
+    correlations), and a state whose partial transpose is bona fide within
+    TOL_PSD (standard_form_nu(n, m, kx, -kp)[0] >= 1 - TOL_PSD) is
+    separable by Simon's criterion (PRL 84, 2726 (2000)); both report
+    separable with a0 = 1, b0 = 0 and r1 = r2 = 1.  Squeezed thermal states
+    (kx = -kp within TOL_SQUEEZED_THERMAL relative) take the
     squeezed-thermal closed form; everything else runs the squeezing
     solve, the critical-parameter evaluation and f.
 
@@ -107,14 +108,14 @@ def eof(params: StandardFormParams) -> EofReport:
             f"parameters violate the uncertainty relation: nu = "
             f"{report.symplectic_eigenvalues}")
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if report.is_pure or abs(n - m) <= 1e-12 * max(n, m):
+    if report.is_pure or abs(n - m) <= TOL_SYMMETRIC * max(n, m):
         # a pure state is a two-mode squeezed vacuum, hence symmetric
         return _report(params, symmetric_eof(n, kx, kp).epr,
                        "pure" if report.is_pure else "symmetric")
-    if (n - 1.0 <= 1e-12 or m - 1.0 <= 1e-12
+    if (n - 1.0 <= TOL_VACUUM_MODE or m - 1.0 <= TOL_VACUUM_MODE
             or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
         return _report(params, _SEPARABLE, "separable")
-    if abs(kx + kp) <= 1e-12 * kx:
+    if abs(kx + kp) <= TOL_SQUEEZED_THERMAL * kx:
         return _squeezed_thermal(params)
     sol = solve_squeezings(params)
     try:
@@ -152,11 +153,11 @@ def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
     route: the squeezed-thermal closed form, or the symmetric one at n = m
     and separable when a mode is at the vacuum.
     """
-    if not (n >= m >= 1.0 - 1e-12):
+    if not (n >= m >= 1.0 - TOL_CANONICAL):
         raise DomainError(f"need n >= m >= 1, got ({n}, {m})")
     if kx <= 0.0:
         raise DomainError(f"need kx > 0, got {kx}")
-    if n - 1.0 <= 1e-12 and m - 1.0 <= 1e-12:
+    if n - 1.0 <= TOL_VACUUM_MODE and m - 1.0 <= TOL_VACUUM_MODE:
         raise Degenerate("n = m = 1 is the pure vacuum limit")
     return eof(StandardFormParams(n=n, m=m, kx=kx, kp=-kx))
 
@@ -174,7 +175,7 @@ def _squeezed_thermal(params: StandardFormParams) -> EofReport:
     rad1 = n * mt - cross
     rad2 = m * nt - cross
     scale = max(n * mt, m * nt, 1.0)
-    if rad1 < -1e-9 * scale or rad2 < -1e-9 * scale:
+    if rad1 < -TOL_RADICAND_ST * scale or rad2 < -TOL_RADICAND_ST * scale:
         raise DomainError(f"negative radicand in the closed form: {rad1}, {rad2}")
     dp = ((math.sqrt(max(rad1, 0.0)) + math.sqrt(max(rad2, 0.0)))
           / (math.sqrt(nt) + math.sqrt(mt))) ** 2
@@ -215,8 +216,9 @@ def giovannetti_family(kappa: float, nbar: float
     params = StandardFormParams(n=n, m=m, kx=kx, kp=-kx)
     check_canonical(params)
     # nu_- of (n, m, kx, -kx) is 2 D / (sqrt(4 D + d^2) + d) with d = n - m
-    # and D = nm - kx^2 exact: in floats D cancels (3.5e-9 at kappa = 300)
-    det, d = float(Fraction(n) * Fraction(m) - Fraction(kx) ** 2), n - m
+    # and D = nm - kx^2 correctly rounded; floats cancel (3.5e-9 at kappa 300)
+    (a, b), (c, e), (x, y) = (v.as_integer_ratio() for v in (n, m, kx))
+    det, d = (a * c * y * y - x * x * b * e) / (b * e * y * y), n - m
     nu_minus = (2.0 * det / (math.hypot(2.0 * math.sqrt(det), d) + d)
                 if det > 0.0 else math.nan)
     if not abs(nu_minus - 1.0) <= TOL_PSD:

@@ -17,9 +17,8 @@ from dataclasses import asdict, dataclass
 from .errors import DomainError, InvalidState
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    _uncertainty_floor)
-from .standard_form import StandardFormParams
-
-TOL_CLAMP = 1e-9
+from .standard_form import (TOL_CLAMP, TOL_RADICAND, TOL_UNIT_INTERVAL,
+                            StandardFormParams)
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ def delta0(params: StandardFormParams, sol: SqueezingSolution,
     """Uncertainty at the critical parameter a = -a0, with clamping.
 
     The raw value is clamped into [b0, 1]; reaching 1 flags separability.
-    A raw value below b0 - 1e-9 is impossible for a bona fide CM and raises
-    InvalidState.
+    A raw value below b0 - TOL_CLAMP is impossible for a bona fide CM and
+    raises InvalidState.
     """
     raw = _delta_raw(params, sol.r1, sol.r2, -crit.a0)
     b0 = crit.b0
@@ -122,8 +121,8 @@ def uncertainty_floor(a: float) -> float:
 def delta_prime(delta: float, b: float) -> float:
     """The map Delta -> Delta' = (Delta + sqrt(Delta^2 - b^2)) / (1 + sqrt(1 - b^2)).
 
-    Identity at b = 0 and at Delta = 1.  A radicand within 1e-12 of zero is
-    clamped; Delta below b beyond tolerance is a domain error.
+    Identity at b = 0 and at Delta = 1.  A radicand within TOL_RADICAND of
+    zero is clamped; Delta beyond TOL_CLAMP out of [b, 1] is a domain error.
     """
     if not 0.0 <= b < 1.0:
         raise DomainError(f"floor b must lie in [0, 1), got {b}")
@@ -133,7 +132,7 @@ def delta_prime(delta: float, b: float) -> float:
         raise DomainError(f"delta {delta} above 1")
     rad = delta * delta - b * b
     if rad < 0.0:
-        if rad < -1e-12:
+        if rad < -TOL_RADICAND:
             raise DomainError(f"negative radicand {rad}")
         rad = 0.0
     return (delta + math.sqrt(rad)) / (1.0 + math.sqrt(1.0 - b * b))
@@ -141,6 +140,6 @@ def delta_prime(delta: float, b: float) -> float:
 
 def r_from_delta_prime(dp: float) -> float:
     """Squeezing parameter with e^(-2r) = Delta', for Delta' in (0, 1]."""
-    if not math.isfinite(dp) or dp <= 0.0 or dp > 1.0 + 1e-12:
+    if not math.isfinite(dp) or dp <= 0.0 or dp > 1.0 + TOL_UNIT_INTERVAL:
         raise DomainError(f"delta_prime must lie in (0, 1], got {dp}")
     return max(-0.5 * math.log(min(dp, 1.0)), 0.0)

@@ -24,9 +24,32 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .errors import DomainError, InvalidState, NonFiniteEntry
 
+# Every tolerance of the package, one name per job; the modules that apply
+# one import it from here.
+# validity of the input
 TOL_SYM = 1e-12       # max |gamma_ij - gamma_ji|, relative to max(1, max |gamma_ij|)
 TOL_PSD = 1e-9        # bona fide / purity tolerance on symplectic eigenvalues
+TOL_CANONICAL = 1e-12  # slack of n, m >= 1 and kx >= -kp >= 0 (check_canonical)
+# the routes of eof()
 TOL_PRODUCT = 1e-12   # |kx|, |kp| below this means product state
+TOL_VACUUM_MODE = 1e-12  # n - 1 or m - 1 at most this: that mode is the vacuum
+TOL_SYMMETRIC = 1e-12  # |n - m| at most this times max(n, m): symmetric route
+TOL_SQUEEZED_THERMAL = 1e-12  # |kx + kp| at most this times kx: its closed form
+# the closed forms
+TOL_UNIT_INTERVAL = 1e-12  # an argument of f or r(Delta') up to 1 + this reads 1
+TOL_CLAMP = 1e-9      # Delta0 below b0, or above 1, by more than this is refused
+TOL_RADICAND = 1e-12  # Delta^2 - b^2 in delta_prime from -this up clamps to 0
+TOL_RADICAND_ST = 1e-9  # the same in _squeezed_thermal, relative to the radicands' scale
+# the r1 solve
+TOL_OFF_MANIFOLD = 1e-12  # t2 below -this: balance residual undefined (NoRoot)
+TOL_PURE_LIMIT = 1e-12  # n r1 - 1 or m r2 - 1 at most this: a0 indeterminate
+TOL_RATIO_RESIDUAL = 1e-13  # ratio residual allowed, relative to its terms
+TOL_BALANCE_RESIDUAL = 1e-12  # balance residual allowed, relative to balance_terms
+# the Gaussian EOF, the bound sandwich and the decomposition
+_VACUUM_TOL = 1e-13   # |det K| <= this * K11 K22: nu_- = 1, K has rank one
+SANDWICH_TOL = 1e-9   # slack of the bound sandwich checked by bounds_report
+PSD_TOL = 1e-9        # a decomposition weight eigenvalue below -this: NotPsd
+TOL_NULL_EIG = 1e-12  # sampler eigenvalues below this max(lam_max, 1) are null
 
 
 @dataclass(frozen=True)
@@ -98,7 +121,7 @@ def standard_form_nu(n: float, m: float, kx: float,
 
 def check_canonical(params: StandardFormParams) -> None:
     """Refuse parameters that are no admissible standard form: each must be
-    finite, n, m >= 1 and kx >= -kp >= 0, each within 1e-12.
+    finite, n, m >= 1 and kx >= -kp >= 0, each within TOL_CANONICAL.
 
     Raises:
         DomainError: naming the first test that failed.
@@ -107,9 +130,9 @@ def check_canonical(params: StandardFormParams) -> None:
     if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
             and math.isfinite(kp)):
         raise DomainError("parameters must be finite")
-    if n < 1.0 - 1e-12 or m < 1.0 - 1e-12:
+    if n < 1.0 - TOL_CANONICAL or m < 1.0 - TOL_CANONICAL:
         raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
-    if kx < -1e-12 or kp > 1e-12 or kx < -kp - 1e-12:
+    if kx < -TOL_CANONICAL or kp > TOL_CANONICAL or kx < -kp - TOL_CANONICAL:
         raise DomainError(
             f"parameters not canonical (need kx >= -kp >= 0): kx={kx}, kp={kp}")
 

@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
-from .standard_form import (StandardFormParams, check_canonical,
-                            validate_standard_form)
+from .standard_form import (
+    TOL_BALANCE_RESIDUAL, TOL_OFF_MANIFOLD, TOL_PURE_LIMIT, TOL_RATIO_RESIDUAL,
+    StandardFormParams, check_canonical, validate_standard_form)
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,10 @@ def _balance_kernel(n: float, m: float, kx: float, kp: float):
     (r2, ratio residual, balance residual, balance terms), the terms
     scaling the residual's rounding: |s kx| + |kp/s|, and sqrt(t1) and
     sqrt(t2) weighted by the condition of their factors, infinite where t1
-    or t2 is 0 (as at r1 = n).  Raises NoRoot where t2 < -1e-12, off the
-    solution manifold.
+    or t2 is 0 (as at r1 = n).  Raises NoRoot where t2 < -TOL_OFF_MANIFOLD,
+    off the solution manifold.
     """
+    off_manifold = -TOL_OFF_MANIFOLD   # a cell of the closure, as n, m, kx, kp
     def balance(r1, full=False):
         big, small = n * r1 - 1.0, n / r1 - 1.0
         bq, cq = big - small, -big * m
@@ -70,7 +72,7 @@ def _balance_kernel(n: float, m: float, kx: float, kp: float):
         r2 = cq / q
         big2, small2 = m * r2 - 1.0, m / r2 - 1.0
         t2 = small * small2
-        if t2 < -1e-12:
+        if t2 < off_manifold:
             raise NoRoot(f"balance residual undefined at r1 = {r1}")
         t1 = (0.0 if big < 0.0 else big) * (0.0 if big2 < 0.0 else big2)
         s = math.sqrt(r1 * r2)
@@ -178,31 +180,31 @@ def critical_params(params: StandardFormParams,
     a0^2 is the square root of (m r2 - 1)/(n r1 - 1); the ratio constraint
     makes the r -> 1/r counterpart equal, which is verified here as a
     consistency check of the solve.  The check holds the ratio residual to
-    1e-13 of the sum of its terms, its rounding error: next to the vacuum
-    m/r2 - 1 and n/r1 - 1 are differences of nearly equal numbers, and
-    their quotient has no digits to compare.  The balance residual, which
-    pins r1, is held to 1e-12 of sol.balance_terms; those are infinite at
-    the window end r1 = n, which the check thus exempts.
+    TOL_RATIO_RESIDUAL of the sum of its terms, its rounding error: near the
+    vacuum m/r2 - 1 and n/r1 - 1 are differences of nearly equal numbers,
+    whose quotient has no digits to compare.  The balance residual, pinning
+    r1, is held to TOL_BALANCE_RESIDUAL of sol.balance_terms, infinite at the
+    window end r1 = n, which the check thus exempts.
 
     Raises:
-        Degenerate: pure-state limit n r1 - 1 <= 1e-12 (a0 indeterminate;
-            callers fall back to a0 = 1), or a0^2 so far from 1 that the
-            floor b0 rounds to 1.
+        Degenerate: pure-state limit n r1 - 1 <= TOL_PURE_LIMIT (a0
+            indeterminate; callers fall back to a0 = 1), or a0^2 so far
+            from 1 that the floor b0 rounds to 1.
         InvalidState: if (r1, r2) does not satisfy the ratio or the balance
             constraint.
     """
     n, m, r1, r2 = params.n, params.m, sol.r1, sol.r2
     den = n * r1 - 1.0
     num = m * r2 - 1.0
-    if den <= 1e-12 or num <= 1e-12:
+    if den <= TOL_PURE_LIMIT or num <= TOL_PURE_LIMIT:
         raise Degenerate("pure-state limit: critical parameter indeterminate")
     a0sq = math.sqrt(num / den)
     terms = (n * r1 + 1.0) * (m / r2 + 1.0) + (n / r1 + 1.0) * (m * r2 + 1.0)
-    if abs(sol.residual_ratio) > 1e-13 * terms:
+    if abs(sol.residual_ratio) > TOL_RATIO_RESIDUAL * terms:
         raise InvalidState(f"critical-parameter consistency check failed: "
                            f"ratio residual {sol.residual_ratio} against "
                            f"terms {terms}")
-    if abs(sol.residual_balance) > 1e-12 * sol.balance_terms:
+    if abs(sol.residual_balance) > TOL_BALANCE_RESIDUAL * sol.balance_terms:
         raise InvalidState(f"critical-parameter consistency check failed: "
                            f"balance residual {sol.residual_balance} against "
                            f"terms {sol.balance_terms}")

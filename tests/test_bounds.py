@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussian_eof import (DomainError, Infeasible, StandardFormParams,
-                          bounds_report, eof, f_aux, g_kappa, gaussian_eof,
-                          giovannetti_family, minimize_reduced_determinant,
-                          oliveira_upper, reduce_to_standard_params,
-                          rigolin_lower, squeezed_vacuum_cm, standard_form_nu,
+from gaussian_eof import (DomainError, Infeasible, SandwichViolation,
+                          StandardFormParams, bounds_report, eof, f_aux,
+                          g_kappa, gaussian_eof, giovannetti_family,
+                          minimize_reduced_determinant, oliveira_upper,
+                          reduce_to_standard_params, rigolin_lower,
+                          squeezed_vacuum_cm, standard_form_nu,
                           symmetric_eof, validate_standard_form)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
@@ -574,6 +575,21 @@ def test_bounds_report_random_states():
         p = random_entangled_params(rng)
         report = bounds_report(p)  # raises SandwichViolation on any breach
         assert report.m_opt >= 1.0
+
+
+def test_bounds_report_refuses_an_eof_above_the_upper_bound(monkeypatch):
+    monkeypatch.setattr(bounds_mod, "oliveira_upper", lambda params: 0.0)
+    with pytest.raises(SandwichViolation, match="above the upper bound"):
+        bounds_report(StandardFormParams(2.0, 1.5, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("params", [StandardFormParams(2.0, 2.0, 0.5, -0.5),
+                                    StandardFormParams(3.0, 2.0, 0.5, -0.3)])
+def test_minimizer_reaches_one_on_separable_states(params):
+    # bounds_report never minimizes a separable state; the minimizer itself
+    # finds m = 1 at its x1 = 0 angle
+    m_opt, cand = minimize_reduced_determinant(params)
+    assert m_opt == 1.0 and abs(cand.x1) < 1e-15
 
 
 def test_bounds_report_separable_all_zero():

@@ -98,6 +98,8 @@ def test_reconstruction_needs_a_sample():
             verify_reconstruction(SYMMETRIC, n_samples=n)
     spec = decomposition_spec(SYMMETRIC)
     assert sample_displacements(spec, 0, seed=1).shape == (0, 4)
+    with pytest.raises(DomainError, match="n_samples must be >= 0"):
+        sample_displacements(spec, -1, seed=1)
 
 
 def test_reconstruction_exact_identity():

@@ -159,6 +159,9 @@ def test_non_finite_parameters_raise_in_the_pipeline(entry, value):
 def test_eof_rejects_non_bona_fide():
     with pytest.raises(InvalidState):
         eof(StandardFormParams(1.5, 1.5, 1.2, -1.0))
+    # canonical, but kx^2 > nm: no positive matrix at all
+    with pytest.raises(InvalidState, match="no positive matrix"):
+        eof(StandardFormParams(1.0, 1.0, 2.0, -0.5))
 
 
 def test_eof_from_cm_matches_params_route():

@@ -98,6 +98,13 @@ def test_delta_prime_identities():
         delta_prime(0.2, 0.4)
     with pytest.raises(DomainError):
         delta_prime(0.5, 1.2)
+    with pytest.raises(DomainError, match="above 1"):
+        delta_prime(1.0 + 2e-9, 0.5)   # beyond TOL_CLAMP
+    # Delta below b within TOL_CLAMP: a radicand of about -1e-13 clamps to
+    # 0, one of about -1e-10 is refused
+    assert delta_prime(0.5 - 1e-13, 0.5) == (0.5 - 1e-13) / (1.0 + math.sqrt(0.75))
+    with pytest.raises(DomainError, match="negative radicand"):
+        delta_prime(0.5 - 1e-10, 0.5)
 
 
 def test_delta_prime_monotone_in_delta():

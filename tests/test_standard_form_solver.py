@@ -388,6 +388,9 @@ def test_solver_input_validation():
         solve_squeezings(StandardFormParams(2.0, 2.0, 0.5, 0.3))
     with pytest.raises(DomainError):
         solve_squeezings(StandardFormParams(2.0, 2.0, 0.2, -0.5))
+    # canonical, but the solve needs strict correlations of both signs
+    with pytest.raises(DomainError, match="need kx > 0 > kp"):
+        solve_squeezings(StandardFormParams(2.0, 1.5, 1.0, 0.0))
 
 
 def test_no_root_for_unphysical_parameters():
