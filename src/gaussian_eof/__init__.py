@@ -22,7 +22,7 @@ from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .eof_core import (EofReport, eof, eof_from_cm, f_aux, g_kappa,
-                       giovannetti_family, squeezed_thermal_eof, symmetric_eof)
+                       giovannetti_family)
 from .epr_uncertainty import (EprQuantities, delta0, delta_general,
                               delta_prime, delta_pure_squeezed,
                               r_from_delta_prime, uncertainty_floor)

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 
-from .eof_core import EofReport, eof, f_aux, symmetric_eof
+from .eof_core import EofReport, _symmetric, eof, f_aux
 from .errors import Infeasible, SandwichViolation
 from .standard_form import (_VACUUM_TOL, SANDWICH_TOL, StandardFormParams,
                             check_canonical, validate_standard_form)
@@ -84,9 +84,10 @@ def _gamma(theta, ellipse):
 
 
 def _objective(theta, ellipse):
-    """1 + x1^2 / det Gamma(theta)."""
+    """1 + x1^2 / det Gamma(theta), or inf (no score) where det Gamma <= 0."""
     u, v, x1 = _gamma(theta, ellipse)
-    return 1.0 + x1 * x1 / (u * v - x1 * x1)
+    det = u * v - x1 * x1
+    return 1.0 + x1 * x1 / det if det > 0.0 else math.inf
 
 
 def minimize_reduced_determinant(params: StandardFormParams
@@ -113,8 +114,9 @@ def minimize_reduced_determinant(params: StandardFormParams
 
     Raises:
         DomainError: parameters not finite or not canonical.
-        Infeasible: exactly when validate_standard_form finds the state not
-            bona fide; then no pure state lies below the CM.
+        Infeasible: the state is not bona fide (validate_standard_form),
+            so no pure state lies below it, or det Gamma rounds to <= 0 at
+            every candidate angle.
     """
     check_canonical(params)
     if not validate_standard_form(params).is_bona_fide:
@@ -154,6 +156,8 @@ def minimize_reduced_determinant(params: StandardFormParams
     if abs(x0) < amp:
         thetas.append(math.atan2(xs, xc) + math.acos(-x0 / amp))
     m_opt, theta = min((_objective(theta, ellipse), theta) for theta in thetas)
+    if m_opt == math.inf:   # det Gamma rounds to <= 0, as at n above 1e7
+        raise Infeasible("det Gamma <= 0 at every candidate on the ellipse")
     c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)
     y1, y2 = s11 * c + s12 * sn, s12 * c + s22 * sn
     z1, z2 = s12 * c - s11 * sn, s22 * c - s12 * sn   # 2 dy / dtheta
@@ -211,7 +215,8 @@ def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:
 
 def _gaussian_eof(params: StandardFormParams,
                   base: EofReport) -> tuple[float, float]:
-    """gaussian_eof with the state's eof() report already in hand."""
+    """gaussian_eof with the state's eof() report in hand: on the pure
+    route its Delta' is the symmetric closed form's."""
     if base.epr.separable:
         return 0.0, 1.0
     if base.method == "pure":
@@ -226,7 +231,7 @@ def rigolin_lower(params: StandardFormParams) -> float:
     """Lower bound: EOF of the symmetric surrogate with n = m = (n+m)/2."""
     check_canonical(params)
     n_sym = 0.5 * (params.n + params.m)
-    return symmetric_eof(n_sym, params.kx, params.kp).eof
+    return f_aux(_symmetric(n_sym, params.kx, params.kp).delta0_prime)
 
 
 def oliveira_upper(params: StandardFormParams) -> float | None:
@@ -244,7 +249,7 @@ def oliveira_upper(params: StandardFormParams) -> float | None:
     surrogate = StandardFormParams(n=lo, m=lo, kx=params.kx, kp=params.kp)
     if not validate_standard_form(surrogate).is_bona_fide:
         return None
-    return symmetric_eof(lo, params.kx, params.kp).eof
+    return f_aux(_symmetric(lo, params.kx, params.kp).delta0_prime)
 
 
 def bounds_report(params: StandardFormParams) -> BoundsReport:

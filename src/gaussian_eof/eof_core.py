@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from .epr_uncertainty import EprQuantities, delta0
 from .errors import Degenerate, DomainError, InvalidState
 from .standard_form import (
-    TOL_CANONICAL, TOL_PSD, TOL_RADICAND_ST, TOL_SQUEEZED_THERMAL,
-    TOL_SYMMETRIC, TOL_UNIT_INTERVAL, TOL_VACUUM_MODE, StandardFormParams,
-    check_canonical, reduce_to_standard_params, standard_form_nu,
-    validate_standard_form)
+    TOL_PSD, TOL_RADICAND_ST, TOL_SQUEEZED_THERMAL, TOL_SYMMETRIC,
+    TOL_UNIT_INTERVAL, TOL_VACUUM_MODE, StandardFormParams, check_canonical,
+    reduce_to_standard_params, standard_form_nu, validate_standard_form)
 from .standard_form_solver import (CriticalParams, critical_params,
                                    solve_squeezings)
 
@@ -90,10 +89,12 @@ def eof(params: StandardFormParams) -> EofReport:
     separable with a0 = 1, b0 = 0 and r1 = r2 = 1.  Squeezed thermal states
     (kx = -kp within TOL_SQUEEZED_THERMAL relative) take the
     squeezed-thermal closed form; everything else runs the squeezing
-    solve, the critical-parameter evaluation and f.
+    solve, the critical-parameter evaluation and f.  Every route, each
+    closed form a private kernel, ends in _report.
 
     Raises:
-        DomainError: parameters not finite, or not canonical.
+        DomainError: parameters not finite or not canonical, or the
+            spectra or the solve leave the float range.
         InvalidState: parameters describe no bona fide CM.
     """
     check_canonical(params)
@@ -110,13 +111,17 @@ def eof(params: StandardFormParams) -> EofReport:
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
     if report.is_pure or abs(n - m) <= TOL_SYMMETRIC * max(n, m):
         # a pure state is a two-mode squeezed vacuum, hence symmetric
-        return _report(params, symmetric_eof(n, kx, kp).epr,
+        return _report(params, _symmetric(n, kx, kp),
                        "pure" if report.is_pure else "symmetric")
+    nu_pt, nu_pt_plus = standard_form_nu(n, m, kx, -kp)
+    if not nu_pt_plus < math.inf:   # nu_- reads 0 where nu_+^2 overflows
+        raise DomainError(f"invariants of the partial transpose {(n, m, kx, -kp)} "
+                          "leave the float range")
     if (n - 1.0 <= TOL_VACUUM_MODE or m - 1.0 <= TOL_VACUUM_MODE
-            or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
+            or nu_pt >= 1.0 - TOL_PSD):
         return _report(params, _SEPARABLE, "separable")
     if abs(kx + kp) <= TOL_SQUEEZED_THERMAL * kx:
-        return _squeezed_thermal(params)
+        return _report(params, _squeezed_thermal(n, m, kx), "squeezed_thermal")
     sol = solve_squeezings(params)
     try:
         crit = critical_params(params, sol)
@@ -125,51 +130,24 @@ def eof(params: StandardFormParams) -> EofReport:
     return _report(params, delta0(params, sol, crit), "general")
 
 
-def symmetric_eof(n: float, kx: float, kp: float) -> EofReport:
-    """Closed-form EOF of a symmetric state: f(sqrt((n - kx)(n + kp))).
-
-    Zero when the argument reaches 1 (separable).  (n, n, kx, kp) must be
-    an admissible standard form (check_canonical); physicality beyond
-    positivity of the argument is the caller's responsibility.
-    r1 = r2 = sqrt((n + kp)/(n - kx)), separable or not.
-    """
-    params = StandardFormParams(n, n, kx, kp)
-    check_canonical(params)
+def _symmetric(n: float, kx: float, kp: float) -> EprQuantities:
+    """The symmetric closed form: Delta0' = min(sqrt((n - kx)(n + kp)), 1),
+    separable at 1, r1 = r2 = sqrt((n + kp)/(n - kx)); it checks only that
+    the argument is positive."""
     arg2 = (n - kx) * (n + kp)
     if arg2 <= 0.0:
         raise DomainError(
             f"(n - kx)(n + kp) = {arg2} <= 0: not a positive matrix")
     d0 = min(math.sqrt(arg2), 1.0)
     r = math.sqrt((n + kp) / (n - kx))
-    epr = EprQuantities(a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0,
-                        separable=d0 == 1.0, r1=r, r2=r)
-    return _report(params, epr, "symmetric")
+    return EprQuantities(a0=1.0, b0=0.0, delta0=d0, delta0_prime=d0,
+                         separable=d0 == 1.0, r1=r, r2=r)
 
 
-def squeezed_thermal_eof(n: float, m: float, kx: float) -> EofReport:
-    """EOF of a squeezed thermal state (kx = -kp, n >= m >= 1), via eof().
-
-    After these domain checks eof() validates the state and picks its
-    route: the squeezed-thermal closed form, or the symmetric one at n = m
-    and separable when a mode is at the vacuum.
-    """
-    if not (n >= m >= 1.0 - TOL_CANONICAL):
-        raise DomainError(f"need n >= m >= 1, got ({n}, {m})")
-    if kx <= 0.0:
-        raise DomainError(f"need kx > 0, got {kx}")
-    if n - 1.0 <= TOL_VACUUM_MODE and m - 1.0 <= TOL_VACUUM_MODE:
-        raise Degenerate("n = m = 1 is the pure vacuum limit")
-    return eof(StandardFormParams(n=n, m=m, kx=kx, kp=-kx))
-
-
-def _squeezed_thermal(params: StandardFormParams) -> EofReport:
-    """The squeezed-thermal closed form (kx = -kp), in either mode order.
-
-    Needs an entangled state with both modes above the vacuum: eof()
-    routes a vacuum mode, and a partial transpose that is bona fide, to
-    separable first.  The solved squeezings are r1 = r2 = 1.
-    """
-    n, m, kx = params.n, params.m, params.kx
+def _squeezed_thermal(n: float, m: float, kx: float) -> EprQuantities:
+    """The squeezed-thermal closed form (kp = -kx), either mode order, with
+    r1 = r2 = 1.  Needs an entangled state with both modes above the
+    vacuum, which eof() checks first."""
     nt, mt = n - 1.0, m - 1.0
     cross = kx * math.sqrt(nt * mt)
     rad1 = n * mt - cross
@@ -179,10 +157,9 @@ def _squeezed_thermal(params: StandardFormParams) -> EofReport:
         raise DomainError(f"negative radicand in the closed form: {rad1}, {rad2}")
     dp = ((math.sqrt(max(rad1, 0.0)) + math.sqrt(max(rad2, 0.0)))
           / (math.sqrt(nt) + math.sqrt(mt))) ** 2
-    epr = EprQuantities(a0=(mt / nt) ** 0.25, b0=abs(n - m) / (n + m - 2.0),
-                        delta0=(n * mt + m * nt - 2.0 * cross) / (nt + mt),
-                        delta0_prime=dp, separable=False, r1=1.0, r2=1.0)
-    return _report(params, epr, "squeezed_thermal")
+    return EprQuantities(a0=(mt / nt) ** 0.25, b0=abs(n - m) / (n + m - 2.0),
+                         delta0=(n * mt + m * nt - 2.0 * cross) / (nt + mt),
+                         delta0_prime=dp, separable=False, r1=1.0, r2=1.0)
 
 
 def g_kappa(kappa: float) -> float:
@@ -198,10 +175,10 @@ def giovannetti_family(kappa: float, nbar: float
     """Amplifier-channel family: squeezed thermal states indexed by gain and photon number.
 
     Builds n = 2(nbar+1)kappa - 1, m = n - 2 nbar,
-    kx = -kp = 2(nbar+1) sqrt(kappa(kappa-1)), evaluates its EOF with eof()
-    (the squeezed-thermal closed form) and returns g(kappa) for comparison.
-    At kappa = 1 the state is a product and the EOF is g(1) = 0; at
-    nbar = 0 it is pure and the EOF equals g(kappa) exactly.  Every member
+    kx = -kp = 2(nbar+1) sqrt(kappa(kappa-1)), and returns its eof() report,
+    on the squeezed-thermal route, and g(kappa) for comparison.  At kappa = 1
+    the state is a product and the EOF is g(1) = 0; at nbar = 0 it is pure
+    (the symmetric route) and the EOF equals g(kappa) exactly.  Every member
     has nu_- = 1; DomainError where the rounded parameters hold nu_- more
     than TOL_PSD from 1 (from about kappa = 170 at nbar = 50).
     """

@@ -151,18 +151,22 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
         SqueezingSolution carrying both constraint residuals.
 
     Raises:
-        DomainError: parameters not finite or not canonical, or
-            kx > 0 > kp fails.
+        DomainError: parameters not finite or not canonical,
+            kx > 0 > kp fails, or the solve leaves the float range.
         NoRoot: if the balance residual has the same sign at both ends of
             the window r1 in [1, n] on a state that is not bona fide (as for
             kx^2 > n m), or n <= 1 leaves no window; either signals invalid
             input parameters.
     """
     check_canonical(params)
-    if not params.kx > 0.0 > params.kp:
-        raise DomainError(
-            f"need kx > 0 > kp, got kx={params.kx}, kp={params.kp}")
-    balance = _balance_kernel(params.n, params.m, params.kx, params.kp)
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    if not kx > 0.0 > kp:
+        raise DomainError(f"need kx > 0 > kp, got kx={kx}, kp={kp}")
+    # the ratio quadratic's discriminant peaks at r1 = 1 or n; r2 = 0 past it
+    end = max(2.0 * (n - 1.0) * m, n * n - 1.0)
+    if end * end == math.inf:
+        raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
+    balance = _balance_kernel(n, m, kx, kp)
     r1 = _solve_r1(params, balance)
     return SqueezingSolution(r1, *balance(r1, True))
 

@@ -17,14 +17,8 @@ def squeezed_vacuum_cm(r: float) -> np.ndarray:
     """CM of the standard two-mode squeezed vacuum with squeezing r >= 0."""
     if not np.isfinite(r) or r < 0.0:
         raise DomainError(f"squeezing parameter must be finite and >= 0, got {r}")
-    c = np.cosh(2.0 * r)
-    s = np.sinh(2.0 * r)
-    return np.array([
-        [c, 0.0, s, 0.0],
-        [0.0, c, 0.0, -s],
-        [s, 0.0, c, 0.0],
-        [0.0, -s, 0.0, c],
-    ])
+    c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    return standard_form_cm(StandardFormParams(c, c, s, -s), 1.0, 1.0)
 
 
 def standard_form_cm(params: StandardFormParams, r1: float,

@@ -11,7 +11,7 @@ from gaussian_eof import (DomainError, Infeasible, SandwichViolation,
                           minimize_reduced_determinant, oliveira_upper,
                           reduce_to_standard_params, rigolin_lower,
                           squeezed_vacuum_cm, standard_form_nu,
-                          symmetric_eof, validate_standard_form)
+                          validate_standard_form)
 from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
 from gaussian_eof.standard_form import TOL_PSD
@@ -34,7 +34,7 @@ def test_gaussian_eof_benchmark_rows():
 def test_gaussian_eof_symmetric_equals_exact():
     p = StandardFormParams(2.0, 2.0, 1.2, -0.8)
     val, _ = gaussian_eof(p)
-    assert val == pytest.approx(symmetric_eof(2.0, 1.2, -0.8).eof, abs=1e-8)
+    assert val == pytest.approx(eof(p).eof, abs=1e-8)
 
 
 def test_gaussian_eof_separable_symmetric_is_zero():
@@ -42,7 +42,7 @@ def test_gaussian_eof_separable_symmetric_is_zero():
     p = StandardFormParams(2.0, 2.0, 1.0, -0.8)
     val, m_opt = gaussian_eof(p)
     assert val == 0.0 and m_opt == 1.0
-    assert symmetric_eof(2.0, 1.0, -0.8).eof == 0.0
+    assert eof(p).eof == 0.0
 
 
 def test_gaussian_eof_pure_states_equal_exact_eof():
@@ -399,6 +399,20 @@ def test_minimizer_non_bona_fide_is_infeasible():
             minimize_reduced_determinant(p)
 
 
+def test_minimizer_skips_angles_where_det_gamma_rounds_to_zero(monkeypatch):
+    # at n near 4.6e8 det Gamma = u v - x1^2 rounds to 0 at a candidate
+    # angle, where 1 + x1^2 / det Gamma raised ZeroDivisionError; such an
+    # angle gets no score, and where none is scored the state is Infeasible
+    p = StandardFormParams(458497204.1392829, 458497204.84233105,
+                           458497204.48873943, -458497204.48873943)
+    m_opt, cand = minimize_reduced_determinant(p)
+    assert 1.0 <= m_opt < math.inf and cand.det_gamma > 0.0
+    assert bounds_mod._objective(0.0, (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)) == math.inf
+    monkeypatch.setattr(bounds_mod, "_objective", lambda theta, ellipse: math.inf)
+    with pytest.raises(Infeasible, match="det Gamma"):
+        minimize_reduced_determinant(StandardFormParams(2.0, 1.5, 1.0, -1.0))
+
+
 def _edge_state(rng, target):
     """n, m log-uniform on [1.1, 50], t on [0.05, 1] and the largest kx with
     nu_-(n, m, kx, -t kx) >= target(rng)."""
@@ -504,7 +518,7 @@ def test_gaussian_eof_equality_on_symmetric_randoms():
     for _ in range(10):
         p = random_symmetric_entangled_params(rng)
         val, _ = gaussian_eof(p)
-        assert val == pytest.approx(symmetric_eof(p.n, p.kx, p.kp).eof, abs=1e-8)
+        assert val == pytest.approx(eof(p).eof, abs=1e-8)
 
 
 def test_rigolin_lower_benchmark_cells():

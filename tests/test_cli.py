@@ -102,6 +102,19 @@ def test_sandwich_violation_exits_three(capsys, monkeypatch):
     assert json.loads(err)["error"] == "SandwichViolation"
 
 
+def test_bounds_at_large_n_prints_no_traceback(capsys):
+    # det Gamma rounds to 0 at a candidate angle of the minimizer, which
+    # raised ZeroDivisionError; the state is bona fide and eof() scores it
+    code, out, err = run_cli(capsys, "bounds", "--params", "458497204.1392829",
+                             "458497204.84233105", "458497204.48873943",
+                             " -458497204.48873943")
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] in {"Infeasible", "SandwichViolation"}
+    else:
+        assert err == "" and "gaussian_eof" in out
+
+
 def test_verify_decomposition_needs_a_sample(capsys):
     # zero draws printed pass = true with no evidence
     code, out, err = run_cli(capsys, "verify-decomposition", "--params",
@@ -180,17 +193,23 @@ _HUGE = ["--params", "1e100", "2e100", "1e99", " -5e98"]
 _HUGER = ["--params", "1e200", "1e200", "1e199", " -1e199"]
 _ROUNDED = ["--params", "1.635567709700921e+17", "1.63556770970092e+17",
             "1.6355677097009203e+17", " -1.6355677097009203e+17"]
+# the state's spectrum is finite, that of its partial transpose overflows
+_PT_OVERFLOW = ["--params", "8e76", "9.6e76", "8.680004608293248e+76",
+                " -7.812004147463923e+76"]
 
 
 @pytest.mark.parametrize("argv", [
     ["eof", *_HUGE], ["bounds", *_HUGE], ["validate", "--input", "{huge}"],
     ["eof", "--input", "{huge}"], ["eof", *_HUGER], ["eof", *_ROUNDED],
     ["validate", "--input", "{huger}"], ["eof", "--input", "{huger}"],
-    ["validate", "--input", "{coupled}"], ["eof", "--input", "{coupled}"]],
+    ["validate", "--input", "{coupled}"], ["eof", "--input", "{coupled}"],
+    ["eof", *_PT_OVERFLOW], ["bounds", *_PT_OVERFLOW],
+    ["verify-decomposition", *_PT_OVERFLOW, "--samples", "1000"]],
     ids=["eof", "bounds", "validate --input", "eof --input", "eof 1e200",
          "eof nu_+ rounded to 0", "validate --input 1e200",
          "eof --input 1e200", "validate --input 1e200 coupled",
-         "eof --input 1e200 coupled"])
+         "eof --input 1e200 coupled", "eof partial transpose",
+         "bounds partial transpose", "verify-decomposition partial transpose"])
 def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # (n^2 - m^2)^2 overflows in standard_form_nu (squared by
     # multiplication it is inf, where ** raised OverflowError), and so does
@@ -200,7 +219,9 @@ def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # "no positive matrix", and the normalisation of 1e200 I, whose NaN
     # entries read as NonFiniteEntry although every entry is finite.  A
     # positive matrix with large off-diagonal entries, whose det A = inf - inf
-    # is NaN, read as not positive
+    # is NaN, read as not positive.  A partial transpose whose spectrum
+    # overflows read as entangled, and the squeezing solve raised
+    # ZeroDivisionError
     coupled = np.kron(np.eye(2), [[2.0, 1.0], [1.0, 2.0]])
     files = {}
     for key, gamma in (("{huge}", 1e150 * np.eye(4)),

@@ -1,15 +1,15 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from gaussian_eof import (Degenerate, DomainError, InvalidState, NoRoot,
+from gaussian_eof import (DomainError, InvalidState, NoRoot,
                           StandardFormParams, bounds_report, eof,
                           gaussian_eof as g_eof, eof_from_cm, f_aux, g_kappa,
                           giovannetti_family, solve_squeezings,
-                          squeezed_thermal_eof, squeezed_vacuum_cm,
-                          standard_form_nu, symmetric_eof,
+                          squeezed_vacuum_cm, standard_form_nu,
                           validate_standard_form)
 from gaussian_eof import eof_core
 from gaussian_eof.standard_form import TOL_PSD
@@ -125,11 +125,30 @@ import importlib, sys
 from gaussian_eof import DomainError, StandardFormParams
 module, name, *entries = sys.argv[1:]
 func = getattr(importlib.import_module("gaussian_eof." + module), name)
-try:
-    print("returned", func(StandardFormParams(*map(float, entries))))
-except DomainError as exc:
-    print(exc)
+for i in range(0, len(entries), 4):
+    try:
+        print("returned", func(StandardFormParams(*map(float, entries[i:i + 4]))))
+    except DomainError as exc:
+        print(exc)
 """
+
+
+@functools.cache
+def _non_finite_outputs(func):
+    """func's output line on each NON_FINITE state, keyed by (entry, value).
+
+    One fresh interpreter per function, with a timeout: a solve that loops
+    on a NaN bracket fails the tests instead of hanging the suite.
+    """
+    cases = [param.values for param in NON_FINITE]
+    args = []
+    for entry, value in cases:
+        entries = ["2", "1.5", "1.2", "-1"]
+        entries[entry] = value
+        args += entries
+    lines = fresh_python(_CALL, *func.split("."), *args, timeout=20).split("\n")
+    assert len(lines) == len(cases) + 1 and lines[-1] == "", lines
+    return dict(zip(cases, lines))
 
 
 @pytest.mark.parametrize("func", [
@@ -138,12 +157,7 @@ except DomainError as exc:
     "bounds.oliveira_upper"])
 @pytest.mark.parametrize("entry, value", NON_FINITE)
 def test_non_finite_parameters_raise(func, entry, value):
-    # a fresh interpreter per call, with a timeout: a solve that loops on a
-    # NaN bracket fails the test instead of hanging the suite
-    entries = ["2", "1.5", "1.2", "-1"]
-    entries[entry] = value
-    out = fresh_python(_CALL, *func.split("."), *entries, timeout=20)
-    assert out == "parameters must be finite\n"
+    assert _non_finite_outputs(func)[entry, value] == "parameters must be finite"
 
 
 @pytest.mark.parametrize("entry, value", NON_FINITE)
@@ -200,20 +214,23 @@ def test_eof_from_cm_local_frame_invariance_near_purity():
 def test_symmetric_eof_pure_identity():
     for r in (0.2, 0.8):
         n, k = math.cosh(2 * r), math.sinh(2 * r)
-        assert symmetric_eof(n, k, -k).eof == pytest.approx(
+        assert eof(StandardFormParams(n, n, k, -k)).eof == pytest.approx(
             pure_entropy(r), rel=1e-11)
 
 
 def test_symmetric_eof_separable():
-    report = symmetric_eof(2.15, 1.3, -0.9)
+    report = eof(StandardFormParams(2.15, 2.15, 1.3, -0.9))
     assert report.eof == 0.0 and report.method == "separable"
 
 
 def test_symmetric_eof_domain():
+    with pytest.raises(InvalidState, match="no positive matrix"):
+        eof(StandardFormParams(1.5, 1.5, 1.6, -0.1))  # kx > n
     with pytest.raises(DomainError):
-        symmetric_eof(1.5, 1.6, -0.1)  # (n - kx) < 0 branch
-    with pytest.raises(DomainError):
-        symmetric_eof(0.8, 0.3, -0.2)
+        eof(StandardFormParams(0.8, 0.8, 0.3, -0.2))  # n < 1
+    # the closed form itself still refuses a non-positive argument
+    with pytest.raises(DomainError, match="not a positive matrix"):
+        eof_core._symmetric(1.5, 1.6, -0.1)
 
 
 def test_symmetric_matches_general_pipeline():
@@ -232,13 +249,32 @@ def test_symmetric_matches_general_pipeline():
         p = StandardFormParams(n, n, kx, kp)
         report = eof(p)
         assert report.method == "symmetric"
-        assert report.eof == symmetric_eof(n, kx, kp).eof
+        assert report.epr == eof_core._symmetric(n, kx, kp)
         assert abs(report.eof - general_route_eof(p)) <= 1e-12
         checked += 1
 
 
+def test_float_range_edge_is_a_value_or_a_domain_error():
+    # a log grid of n from 1e76 to 2e77 in several shapes (m / n, kx over
+    # sqrt(nm), kp / kx).  Where the partial transpose's spectrum overflowed,
+    # Simon's test read a separable state as entangled, and the squeezing
+    # solve raised ZeroDivisionError
+    shapes = ((1.2, 0.99, -0.9), (1.01, 0.999, -0.5), (1.5, 0.9, -0.99),
+              (3.0, 0.95, -0.2), (0.7, 0.99, -0.9), (1.3, 0.97, -1.0))
+    for n in map(float, np.geomspace(1e76, 2e77, 41)):
+        for ratio, fx, t in shapes:
+            m = ratio * n
+            kx = fx * math.sqrt(n * m)
+            try:
+                report = eof(StandardFormParams(n, m, kx, t * kx))
+            except DomainError as exc:
+                assert "leave the float range" in str(exc)
+            else:
+                assert 0.0 <= report.eof < math.inf
+
+
 def test_squeezed_thermal_closed_form_values():
-    report = squeezed_thermal_eof(2.0, 1.5, 1.0)
+    report = eof(StandardFormParams(2.0, 1.5, 1.0, -1.0))
     assert report.epr.delta0 == pytest.approx((2.5 - math.sqrt(2.0)) / 1.5,
                                               abs=1e-14)
     assert report.epr.delta0_prime == pytest.approx(0.70331, abs=5e-6)
@@ -258,7 +294,7 @@ def test_squeezed_thermal_matches_general_pipeline():
         if not (is_bona_fide_params(n, m, kx, -kx, margin=1e-9)
                 and is_entangled_params(n, m, kx, -kx)):
             continue
-        closed = squeezed_thermal_eof(max(n, m), min(n, m), kx).eof
+        closed = eof(StandardFormParams(max(n, m), min(n, m), kx, -kx)).eof
         for p in (StandardFormParams(n, m, kx, -kx),
                   StandardFormParams(m, n, kx, -kx)):
             report = eof(p)
@@ -276,9 +312,12 @@ def test_squeezed_thermal_matches_general_pipeline():
 
 
 def test_squeezed_thermal_symmetric_degeneration():
+    # eof() sends n = m to the symmetric closed form, so the kernels are
+    # compared directly
     n, kx = 2.5, 1.6
-    assert squeezed_thermal_eof(n, n, kx).eof == pytest.approx(
-        symmetric_eof(n, kx, -kx).eof, abs=1e-12)
+    assert f_aux(eof_core._squeezed_thermal(n, n, kx).delta0_prime) == (
+        pytest.approx(f_aux(eof_core._symmetric(n, kx, -kx).delta0_prime),
+                      abs=1e-12))
 
 
 def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
@@ -291,8 +330,6 @@ def test_squeezed_thermal_with_a_vacuum_mode_is_separable():
             report = eof(p)
             assert report.method == "separable" and report.eof == 0.0
             assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
-        report = squeezed_thermal_eof(n, m, 1e-7)
-        assert report.method == "separable" and report.eof == 0.0
 
 
 def test_eof_reports_the_params_it_was_given():
@@ -390,14 +427,15 @@ def test_no_root_failure_at_the_bona_fide_edge_near_the_vacuum():
 
 
 def test_squeezed_thermal_domain():
+    # either mode order is admitted; these two states are separable
+    for p in (StandardFormParams(1.5, 2.0, 0.5, -0.5),       # n < m
+              StandardFormParams(1.0, 1.0, 1e-13, -1e-13)):  # the vacuum
+        report = eof(p)
+        assert report.method == "separable" and report.eof == 0.0
     with pytest.raises(DomainError):
-        squeezed_thermal_eof(1.5, 2.0, 0.5)  # n < m
-    with pytest.raises(DomainError):
-        squeezed_thermal_eof(2.0, 1.5, -0.5)
-    with pytest.raises(Degenerate):
-        squeezed_thermal_eof(1.0, 1.0, 1e-13)
+        eof(StandardFormParams(2.0, 1.5, -0.5, 0.5))  # not canonical
     with pytest.raises(InvalidState):
-        squeezed_thermal_eof(2.0, 1.5, 1.7)  # beyond bona fide
+        eof(StandardFormParams(2.0, 1.5, 1.7, -1.7))  # beyond bona fide
 
 
 def test_g_kappa():

@@ -391,6 +391,11 @@ def test_solver_input_validation():
     # canonical, but the solve needs strict correlations of both signs
     with pytest.raises(DomainError, match="need kx > 0 > kp"):
         solve_squeezings(StandardFormParams(2.0, 1.5, 1.0, 0.0))
+    # the ratio quadratic's discriminant overflows at r1 = n, then at r1 = 1,
+    # where r2 read 0 and the balance residual raised ZeroDivisionError
+    for params in ((2e77, 2e77, 1.0, -0.5), (2.0, 1e154, 1.0, -0.5)):
+        with pytest.raises(DomainError, match="leave the float range"):
+            solve_squeezings(StandardFormParams(*params))
 
 
 def test_no_root_for_unphysical_parameters():
