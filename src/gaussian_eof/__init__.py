@@ -12,8 +12,8 @@ epr_uncertainty, eof_core) needs only the standard library and is imported
 with the package, so eof(), eof_from_cm() and validate_cm() run without
 numpy.  The other modules and their names are imported on first access,
 through the module __getattr__ below: bounds, which needs only the
-standard library too, and the numpy-backed decomposition and its CM
-constructors in symplectic_core.
+standard library too, and decomposition, the only numpy module, with its
+two CM constructors.
 A resolved name is not stored here, so every lookup reaches the
 submodule's current binding.
 """
@@ -34,6 +34,8 @@ from .standard_form import (StandardFormParams, ValidityReport,
                             validate_cm, validate_standard_form)
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    critical_params, solve_squeezings)
+# the layer name perfbench/tracing.py uses; it goes with ROADMAP item 1
+from . import standard_form as symplectic_core
 
 __version__ = "0.1.0"
 
@@ -44,8 +46,8 @@ _LAZY_MODULES = {
                "oliveira_upper", "rigolin_lower"),
     "decomposition": ("DecompositionSpec", "decomposition_spec",
                       "reconstruct_cm", "sample_displacements",
+                      "squeezed_vacuum_cm", "standard_form_cm",
                       "verify_reconstruction"),
-    "symplectic_core": ("squeezed_vacuum_cm", "standard_form_cm"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items()
          for name in names}

@@ -7,6 +7,7 @@ with M = gamma_sigma - gamma_psi.  Two factor conventions are centralized
 here: the weight corresponds to displacement covariance M/2, and the
 vacuum-normalized CM convention contributes the factor 2 in the
 reconstruction gamma_hat = gamma_psi + 2 * (second moment of xi).
+It is the package's only numpy module, and holds the two CM constructors.
 """
 
 import math
@@ -18,9 +19,35 @@ from .eof_core import eof
 from .epr_uncertainty import r_from_delta_prime
 from .errors import DomainError, NotPsd
 from .standard_form import PSD_TOL, TOL_NULL_EIG, StandardFormParams
-from .symplectic_core import squeezed_vacuum_cm, standard_form_cm
 
 _CHUNK = 16384
+
+
+def squeezed_vacuum_cm(r: float) -> np.ndarray:
+    """CM of the standard two-mode squeezed vacuum with squeezing r >= 0."""
+    if not np.isfinite(r) or r < 0.0:
+        raise DomainError(f"squeezing parameter must be finite and >= 0, got {r}")
+    c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    return standard_form_cm(StandardFormParams(c, c, s, -s), 1.0, 1.0)
+
+
+def standard_form_cm(params: StandardFormParams, r1: float,
+                     r2: float) -> np.ndarray:
+    """Assemble the standard-form CM reduced by the squeezing factors (r1, r2).
+
+    With r1 = r2 = 1 this is the plain (n, m, kx, kp) form; otherwise the
+    x entries are scaled up by the r's and the p entries down.
+    """
+    if not (0.0 < r1 < np.inf and 0.0 < r2 < np.inf):
+        raise DomainError("squeezing factors must be positive and finite")
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
+    s = np.sqrt(r1 * r2)
+    return np.array([
+        [n * r1, 0.0, s * kx, 0.0],
+        [0.0, n / r1, 0.0, kp / s],
+        [s * kx, 0.0, m * r2, 0.0],
+        [0.0, kp / s, 0.0, m / r2],
+    ])
 
 
 @dataclass(frozen=True)

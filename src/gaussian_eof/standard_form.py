@@ -15,7 +15,7 @@ Raw matrices are validated and reduced here too, in closed form:
 reduce_to_standard_params reads the signed standard form validate_cm judged.
 
 This module imports only the standard library, so the eof() pipeline and
-the CLI validate report run without numpy; symplectic_core holds the
+the CLI validate report run without numpy; decomposition holds the
 matrix constructors.
 """
 
@@ -127,9 +127,12 @@ def check_canonical(params: StandardFormParams) -> None:
         DomainError: naming the first test that failed.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
-            and math.isfinite(kp)):
-        raise DomainError("parameters must be finite")
+    try:
+        if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
+                and math.isfinite(kp)):
+            raise DomainError("parameters must be finite")
+    except OverflowError:   # an int that no float holds
+        raise DomainError("parameters leave the float range") from None
     if n < 1.0 - TOL_CANONICAL or m < 1.0 - TOL_CANONICAL:
         raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
     if kx < -TOL_CANONICAL or kp > TOL_CANONICAL or kx < -kp - TOL_CANONICAL:
@@ -147,13 +150,16 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
 
     Raises:
         NonFiniteEntry: if any parameter is NaN or infinite.
-        DomainError: if nm, kx^2, kp^2 or standard_form_nu is not finite:
-            the invariants leave the float range.
+        DomainError: if an int parameter, nm, kx^2, kp^2 or
+            standard_form_nu leaves the float range.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
-            and math.isfinite(kp)):
-        raise NonFiniteEntry("standard-form parameters must be finite")
+    try:
+        if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
+                and math.isfinite(kp)):
+            raise NonFiniteEntry("standard-form parameters must be finite")
+    except OverflowError:   # an int that no float holds
+        raise DomainError("parameters leave the float range") from None
     nm = n * m
     if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
         if not (math.isfinite(nm) and math.isfinite(kx * kx)
@@ -182,7 +188,7 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
     errors of the size of its largest entries.
 
     Raises:
-        DomainError: if gamma is not a 4x4 matrix of numbers.
+        DomainError: if gamma is not a 4x4 matrix of numbers in the float range.
         NonFiniteEntry: if any entry is NaN or infinite.
     """
     rows = gamma.tolist() if hasattr(gamma, "tolist") else gamma
@@ -192,6 +198,8 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
         flat = [*map(float, r0), *map(float, r1), *map(float, r2), *map(float, r3)]
     except (TypeError, ValueError):   # a scalar, a 3-D array, a non-number
         shaped = False
+    except OverflowError:   # an int that no float holds
+        raise DomainError("covariance matrix entries leave the float range") from None
     if not shaped:
         shape = getattr(gamma, "shape", None)
         raise DomainError("expected a 4x4 matrix of numbers"
@@ -313,6 +321,6 @@ def params_from_json_dict(payload: dict) -> StandardFormParams:
         try:
             return StandardFormParams(n=float(p["n"]), m=float(p["m"]),
                                       kx=float(p["kx"]), kp=float(p["kp"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed params object: {exc}") from exc
     raise DomainError('input JSON must contain "gamma" or "params"')

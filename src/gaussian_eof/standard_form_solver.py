@@ -19,6 +19,7 @@ reference tests hold the closed forms to.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
 from .standard_form import (
@@ -33,8 +34,8 @@ class SqueezingSolution:
     residual_ratio: float
     residual_balance: float
     balance_terms: float = 0.0       # scale of residual_balance's rounding
-    branch: str = "general"          # always "general": the only solve path
-    multiple_brackets: bool = False  # always False: one bracket, one root
+    branch: ClassVar[str] = "general"          # the only solve path
+    multiple_brackets: ClassVar[bool] = False  # one bracket, one root
 
     @property
     def max_residual(self) -> float:
@@ -166,7 +167,8 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
     end = max(2.0 * (n - 1.0) * m, n * n - 1.0)
     if end * end == math.inf:
         raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
-    balance = _balance_kernel(n, m, kx, kp)
+    # m in [1 - TOL_CANONICAL, 1) solves as m = 1, so that m/r2 - 1 >= 0
+    balance = _balance_kernel(n, max(m, 1.0), kx, kp)
     r1 = _solve_r1(params, balance)
     return SqueezingSolution(r1, *balance(r1, True))
 

@@ -388,6 +388,11 @@ def test_minimizer_degenerate_inputs(monkeypatch):
             assert value == pytest.approx(eof(p).eof, rel=1e-10, abs=0.0), p
 
 
+def test_quartic_with_a_fourfold_root():
+    # (t - 2)^4: the depressed quartic is y^4 = 0, whose resolvent root is 0
+    assert bounds_mod._quartic_roots(1.0, -8.0, 24.0, -32.0, 16.0) == [2.0]
+
+
 def test_minimizer_non_bona_fide_is_infeasible():
     # canonical but below the uncertainty relation: C_x - C_p^{-1} is not
     # PSD, so no pure state lies below the CM

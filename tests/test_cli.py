@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import decimal
 import json
@@ -235,6 +236,28 @@ def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "DomainError"
     assert "leave the float range" in payload["message"]
+
+
+_BEYOND_FLOAT = 10 ** 400   # an int that float() cannot hold
+
+
+@pytest.mark.parametrize("command,payload", [
+    *((c, "gamma") for c in ("eof", "bounds", "validate")),
+    *((c, "params") for c in ("eof", "bounds", "verify-decomposition"))])
+def test_ints_beyond_the_float_range_are_a_json_error(tmp_path, capsys,
+                                                       command, payload):
+    # float() of such an int raises OverflowError, which must not end in a
+    # traceback
+    gamma = np.eye(4, dtype=int).tolist()
+    gamma[0][0] = _BEYOND_FLOAT
+    state = {"gamma": {"gamma": gamma},
+             "params": {"params": {"n": _BEYOND_FLOAT, "m": 2, "kx": 1,
+                                   "kp": -1}}}[payload]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_eof_from_a_matrix_reaches_validate_cm(tmp_path, capsys, monkeypatch):
@@ -540,6 +563,21 @@ def test_every_module_is_reached_by_a_command(tmp_path):
             "print(json.dumps([codes, unreached]))\n")
     out = fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
     assert json.loads(out) == [[0] * len(commands), []]
+
+
+def test_numpy_is_imported_by_decomposition_alone():
+    # only the Monte-Carlo decomposition check needs numpy: every other
+    # module of the package runs on the standard library
+    importers = []
+    for path in sorted(pathlib.Path(gaussian_eof.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["decomposition.py"]
 
 
 def test_star_import_and_numpy_commands_in_a_fresh_process(tmp_path):

@@ -438,6 +438,12 @@ def test_squeezed_thermal_domain():
         eof(StandardFormParams(2.0, 1.5, 1.7, -1.7))  # beyond bona fide
 
 
+def test_squeezed_thermal_refuses_a_negative_radicand():
+    # (2, 2, 3) has kx^2 > n m: n (m - 1) - kx sqrt((n - 1)(m - 1)) = -1
+    with pytest.raises(DomainError, match="negative radicand"):
+        eof_core._squeezed_thermal(2.0, 2.0, 3.0)
+
+
 def test_g_kappa():
     assert g_kappa(1.0) == 0.0
     assert g_kappa(2.0) == pytest.approx(2.0, abs=1e-14)
@@ -463,6 +469,12 @@ def test_giovannetti_mixed_member_two_routes():
     assert report.eof == pytest.approx(general_route_eof(params), abs=1e-10)
     assert report.eof == pytest.approx(1.703, abs=1e-3)
     assert report.eof == pytest.approx(1.702893188821817, abs=1e-12)
+
+
+def test_giovannetti_refuses_a_loss_or_a_negative_noise():
+    for kappa, nbar in ((0.5, 1.0), (2.0, -0.5)):
+        with pytest.raises(DomainError, match="kappa >= 1 and nbar >= 0"):
+            giovannetti_family(kappa, nbar)
 
 
 def test_giovannetti_overflow_is_a_domain_error():

@@ -69,6 +69,12 @@ def test_pure_curve_minimum_matches_floor(a):
     assert vals[i] == pytest.approx(uncertainty_floor(a), abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_uncertainty_floor_refuses_zero_and_non_finite_a(a):
+    with pytest.raises(DomainError, match="nonzero finite"):
+        uncertainty_floor(a)
+
+
 def test_uncertainty_floor_over_the_float_range():
     # a^2 + 1/a^2 overflows, or a^2 underflows to 0, beyond about 1e+-77;
     # the floor is then its limit 1, where the formula raised

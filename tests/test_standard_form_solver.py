@@ -404,6 +404,23 @@ def test_no_root_for_unphysical_parameters():
         solve_squeezings(StandardFormParams(2.0, 1.5, 1.9, -0.1))
 
 
+def test_no_root_off_the_solution_manifold():
+    # at m < 1 the factor m/r2 - 1 of t2 is negative at r1 = r2 = 1
+    balance = standard_form_solver._balance_kernel(3.0, 0.5, 1.0, -0.5)
+    with pytest.raises(NoRoot, match="balance residual undefined at r1 = 1.0"):
+        balance(1.0)
+
+
+def test_mode_just_below_the_vacuum_solves_as_the_vacuum():
+    # m = 1 - 1e-12 passes check_canonical and the state is bona fide
+    # within TOL_PSD; the solve reads that mode as m = 1
+    for kx in (1e-7, 1e-5):
+        below = StandardFormParams(3.0, 1.0 - 1e-12, kx, -kx)
+        assert validate_standard_form(below).is_bona_fide
+        assert solve_squeezings(below) == solve_squeezings(
+            StandardFormParams(3.0, 1.0, kx, -kx))
+
+
 def test_root_beyond_the_window_within_tolerance():
     # nu_- = 1 - 4.5e-11: bona fide within TOL_PSD, and the balance residual
     # stays positive up to r1 = n, so the window end is the root

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussian_eof import (DomainError, GaussianEofError, InvalidState,
-                          NonFiniteEntry, StandardFormParams, reduce_to_standard_params,
+                          NonFiniteEntry, StandardFormParams, bounds_report,
+                          eof, reduce_to_standard_params, solve_squeezings,
                           squeezed_vacuum_cm, standard_form_cm,
                           standard_form_nu, validate_cm,
                           validate_standard_form)
@@ -557,6 +558,25 @@ def test_validate_standard_form_matches_eigen_solve():
 def test_validate_standard_form_rejects_non_finite():
     with pytest.raises(NonFiniteEntry):
         validate_standard_form(StandardFormParams(2.0, math.inf, 1.0, -1.0))
+
+
+_BEYOND_FLOAT = 10 ** 400   # an int that float() cannot hold
+
+
+def test_ints_beyond_the_float_range_are_a_domain_error():
+    # math.isfinite and float() raise OverflowError on such an int; each
+    # entry point refuses it as a DomainError instead
+    gamma = np.eye(4, dtype=object)
+    gamma[0, 0] = _BEYOND_FLOAT
+    with pytest.raises(DomainError, match="leave the float range"):
+        validate_cm(gamma.tolist())
+    params = StandardFormParams(_BEYOND_FLOAT, 2, 1, -1)
+    for fn in (eof, bounds_report, solve_squeezings, validate_standard_form):
+        with pytest.raises(DomainError, match="leave the float range"):
+            fn(params)
+    with pytest.raises(DomainError):
+        params_from_json_dict({"params": {"n": _BEYOND_FLOAT, "m": 2,
+                                          "kx": 1, "kp": -1}})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
