@@ -63,8 +63,7 @@ class BoundsReport:
 
 def _blocks(params: StandardFormParams) -> tuple[tuple[float, ...], ...]:
     """Entries (11, 22, 12) of C_p^{-1} and of K = C_x - C_p^{-1}."""
-    n, m, kx, kp = (float(params.n), float(params.m), float(params.kx),
-                    float(params.kp))
+    n, m, kx, kp = params.n, params.m, params.kx, params.kp
     det_p = n * m - kp * kp
     p11, p22, p12 = m / det_p, n / det_p, -kp / det_p
     return (p11, p22, p12), (n - p11, m - p22, kx - p12)
@@ -113,7 +112,7 @@ def minimize_reduced_determinant(params: StandardFormParams
     segment traversed twice, with no separate path.
 
     Raises:
-        DomainError: parameters not finite or not canonical.
+        DomainError: parameters not canonical.
         Infeasible: the state is not bona fide (validate_standard_form),
             so no pure state lies below it, or det Gamma rounds to <= 0 at
             every candidate angle.

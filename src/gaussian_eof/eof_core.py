@@ -76,7 +76,7 @@ def eof(params: StandardFormParams) -> EofReport:
     """Entanglement of formation of the state with the given standard form.
 
     The parameters must be an admissible standard form (check_canonical:
-    finite, n, m >= 1, kx >= -kp >= 0), and the state is validated on the
+    n, m >= 1, kx >= -kp >= 0), and the state is validated on the
     closed-form symplectic eigenvalues of its standard form
     (validate_standard_form), with no eigen-solve.
     Dispatch, decided here and nowhere else: product and separable states
@@ -93,8 +93,8 @@ def eof(params: StandardFormParams) -> EofReport:
     closed form a private kernel, ends in _report.
 
     Raises:
-        DomainError: parameters not finite or not canonical, or the
-            spectra or the solve leave the float range.
+        DomainError: parameters not canonical, or the spectra or the
+            solve leave the float range.
         InvalidState: parameters describe no bona fide CM.
     """
     check_canonical(params)

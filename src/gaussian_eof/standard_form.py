@@ -54,7 +54,7 @@ TOL_NULL_EIG = 1e-12  # sampler eigenvalues below this max(lam_max, 1) are null
 
 @dataclass(frozen=True)
 class StandardFormParams:
-    """Standard-form description (n, m, kx, kp) of a two-mode state.
+    """Standard-form description (n, m, kx, kp) of a state: four finite floats.
 
     n and m are the local symplectic invariants sqrt(det A), sqrt(det B) of
     the two mode blocks; kx and kp are the x and p correlations after
@@ -65,6 +65,18 @@ class StandardFormParams:
     m: float
     kx: float
     kp: float
+
+    def __init__(self, n, m, kx, kp):
+        try:
+            if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
+                    and math.isfinite(kp)):
+                raise DomainError("parameters must be finite")
+        except OverflowError:   # an int that no float holds
+            raise DomainError("parameters leave the float range") from None
+        object.__setattr__(self, "n", float(n))   # the class is frozen
+        object.__setattr__(self, "m", float(m))
+        object.__setattr__(self, "kx", float(kx))
+        object.__setattr__(self, "kp", float(kp))
 
     @property
     def is_product(self) -> bool:
@@ -120,19 +132,13 @@ def standard_form_nu(n: float, m: float, kx: float,
 
 
 def check_canonical(params: StandardFormParams) -> None:
-    """Refuse parameters that are no admissible standard form: each must be
-    finite, n, m >= 1 and kx >= -kp >= 0, each within TOL_CANONICAL.
+    """Refuse parameters that are no admissible standard form: n, m >= 1
+    and kx >= -kp >= 0, each within TOL_CANONICAL.
 
     Raises:
         DomainError: naming the first test that failed.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    try:
-        if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
-                and math.isfinite(kp)):
-            raise DomainError("parameters must be finite")
-    except OverflowError:   # an int that no float holds
-        raise DomainError("parameters leave the float range") from None
     if n < 1.0 - TOL_CANONICAL or m < 1.0 - TOL_CANONICAL:
         raise DomainError(f"n, m must be >= 1, got ({n}, {m})")
     if kx < -TOL_CANONICAL or kp > TOL_CANONICAL or kx < -kp - TOL_CANONICAL:
@@ -149,17 +155,9 @@ def validate_standard_form(params: StandardFormParams) -> ValidityReport:
     eigenvalues and reports (nan, nan).
 
     Raises:
-        NonFiniteEntry: if any parameter is NaN or infinite.
-        DomainError: if an int parameter, nm, kx^2, kp^2 or
-            standard_form_nu leaves the float range.
+        DomainError: if nm, kx^2, kp^2 or the spectrum leave the float range.
     """
     n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    try:
-        if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
-                and math.isfinite(kp)):
-            raise NonFiniteEntry("standard-form parameters must be finite")
-    except OverflowError:   # an int that no float holds
-        raise DomainError("parameters leave the float range") from None
     nm = n * m
     if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
         if not (math.isfinite(nm) and math.isfinite(kx * kx)

@@ -152,8 +152,8 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
         SqueezingSolution carrying both constraint residuals.
 
     Raises:
-        DomainError: parameters not finite or not canonical,
-            kx > 0 > kp fails, or the solve leaves the float range.
+        DomainError: parameters not canonical, kx > 0 > kp fails, or
+            the solve leaves the float range.
         NoRoot: if the balance residual has the same sign at both ends of
             the window r1 in [1, n] on a state that is not bona fide (as for
             kx^2 > n m), or n <= 1 leaves no window; either signals invalid

@@ -1,6 +1,8 @@
+import json
 import math
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from gaussian_eof import (DomainError, GaussianEofError, InvalidState,
                           NonFiniteEntry, StandardFormParams, bounds_report,
-                          eof, reduce_to_standard_params, solve_squeezings,
-                          squeezed_vacuum_cm, standard_form_cm,
-                          standard_form_nu, validate_cm,
+                          eof, gaussian_eof, minimize_reduced_determinant,
+                          oliveira_upper, reduce_to_standard_params,
+                          rigolin_lower, solve_squeezings, squeezed_vacuum_cm,
+                          standard_form_cm, standard_form_nu, validate_cm,
                           validate_standard_form)
 from gaussian_eof.standard_form import TOL_SYM, _raw_cm, params_from_json_dict
 
@@ -556,8 +559,10 @@ def test_validate_standard_form_matches_eigen_solve():
 
 
 def test_validate_standard_form_rejects_non_finite():
-    with pytest.raises(NonFiniteEntry):
-        validate_standard_form(StandardFormParams(2.0, math.inf, 1.0, -1.0))
+    # validate_standard_form meets no such parameters: the constructor
+    # refuses them
+    with pytest.raises(DomainError, match="parameters must be finite"):
+        StandardFormParams(2.0, math.inf, 1.0, -1.0)
 
 
 _BEYOND_FLOAT = 10 ** 400   # an int that float() cannot hold
@@ -570,13 +575,53 @@ def test_ints_beyond_the_float_range_are_a_domain_error():
     gamma[0, 0] = _BEYOND_FLOAT
     with pytest.raises(DomainError, match="leave the float range"):
         validate_cm(gamma.tolist())
-    params = StandardFormParams(_BEYOND_FLOAT, 2, 1, -1)
-    for fn in (eof, bounds_report, solve_squeezings, validate_standard_form):
-        with pytest.raises(DomainError, match="leave the float range"):
-            fn(params)
+    with pytest.raises(DomainError, match="leave the float range"):
+        StandardFormParams(_BEYOND_FLOAT, 2, 1, -1)
     with pytest.raises(DomainError):
         params_from_json_dict({"params": {"n": _BEYOND_FLOAT, "m": 2,
                                           "kx": 1, "kp": -1}})
+
+
+def test_int_parameters_whose_products_overflow_raise_no_overflow_error():
+    # 10**300 squared is an int no float holds; as floats the products
+    # overflow to inf, which each entry refuses or scores
+    params = StandardFormParams(10 ** 300, 10 ** 300, 1, -1)
+    for entry in (eof, gaussian_eof, bounds_report, solve_squeezings,
+                  minimize_reduced_determinant, rigolin_lower, oliveira_upper,
+                  validate_standard_form):
+        try:
+            entry(params)
+        except GaussianEofError:
+            pass
+
+
+def _fraction(x):
+    return Fraction(repr(x))   # 1.2 -> 6/5, which rounds back to 1.2
+
+
+# general, symmetric and squeezed-thermal states with each field given as
+# another real number type; no entangled symmetric state has int fields
+@pytest.mark.parametrize("state, convert", [
+    pytest.param(state, convert, id=f"{convert.__name__}{state}")
+    for state, converts in (((2.0, 1.5, 1.2, -1.0), (np.float64, _fraction)),
+                            ((2.0, 2.0, 1.2, -0.8), (np.float64, _fraction)),
+                            ((2.0, 1.5, 1.0, -1.0), (np.float64, _fraction)),
+                            ((3.0, 2.0, 2.0, -1.0), (int,)),
+                            ((3.0, 2.0, 2.0, -2.0), (int,)))
+    for convert in converts])
+def test_every_real_number_type_gives_the_float_reports(state, convert):
+    floats = StandardFormParams(*state)
+    typed = StandardFormParams(*map(convert, state))
+    assert [type(value) for value in astuple(typed)] == [float] * 4
+    for entry in (eof, bounds_report, validate_standard_form):
+        want, got = entry(floats), entry(typed)
+        assert got == want
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_a_str_field_is_a_type_error():
+    with pytest.raises(TypeError):
+        StandardFormParams(2.0, "1.5", 1.0, -1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
