@@ -9,7 +9,7 @@ Every CSV and text cell goes through _fmt, and every json/csv/text choice
 through _emit.  A command checks its arguments and computes its whole
 output before it writes any, so an error leaves stdout empty.  Only
 verify-decomposition loads numpy, for its seeded sampling; its handler
-imports the decomposition module.
+imports the decomposition module once it has read its state.
 """
 
 import argparse
@@ -242,10 +242,10 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_verify_decomposition(args) -> int:
+    params = _params_from_args(args)   # an input error loads no numpy
     from . import decomposition as decomp_mod
 
-    report = decomp_mod.verify_reconstruction(_params_from_args(args),
-                                              n_samples=args.samples,
+    report = decomp_mod.verify_reconstruction(params, n_samples=args.samples,
                                               seed=args.seed)
     text = (f"r_opt = {_fmt(report['r_opt'])}, n = {report['n_samples']}, "
             f"max error = {_fmt(report['max_abs_error'])}, tolerance = "

@@ -93,8 +93,9 @@ def eof(params: StandardFormParams) -> EofReport:
     closed form a private kernel, ends in _report.
 
     Raises:
-        DomainError: parameters not canonical, or the spectra or the
-            solve leave the float range.
+        DomainError: parameters not canonical, a spectrum outside the
+            float range (standard_form_nu decides, for the state and its
+            partial transpose), or a solve that leaves it.
         InvalidState: parameters describe no bona fide CM.
     """
     check_canonical(params)
@@ -113,12 +114,8 @@ def eof(params: StandardFormParams) -> EofReport:
         # a pure state is a two-mode squeezed vacuum, hence symmetric
         return _report(params, _symmetric(n, kx, kp),
                        "pure" if report.is_pure else "symmetric")
-    nu_pt, nu_pt_plus = standard_form_nu(n, m, kx, -kp)
-    if not nu_pt_plus < math.inf:   # nu_- reads 0 where nu_+^2 overflows
-        raise DomainError(f"invariants of the partial transpose {(n, m, kx, -kp)} "
-                          "leave the float range")
     if (n - 1.0 <= TOL_VACUUM_MODE or m - 1.0 <= TOL_VACUUM_MODE
-            or nu_pt >= 1.0 - TOL_PSD):
+            or standard_form_nu(n, m, kx, -kp)[0] >= 1.0 - TOL_PSD):
         return _report(params, _SEPARABLE, "separable")
     if abs(kx + kp) <= TOL_SQUEEZED_THERMAL * kx:
         return _report(params, _squeezed_thermal(n, m, kx), "squeezed_thermal")

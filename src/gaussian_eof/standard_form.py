@@ -110,7 +110,8 @@ class ValidityReport:
 
 def standard_form_nu(n: float, m: float, kx: float,
                      kp: float) -> tuple[float, float]:
-    """Symplectic eigenvalues (nu_-, nu_+) of the standard form (n, m, kx, kp).
+    """Symplectic eigenvalues (nu_-, nu_+) of the standard form (n, m, kx, kp),
+    the one test of whether it has a spectrum.
 
     Closed form in the invariants Delta = n^2 + m^2 + 2 kx kp and
     det = (nm - kx^2)(nm - kp^2): nu_+^2 = (Delta + sqrt(Delta^2 - 4 det))/2
@@ -118,17 +119,26 @@ def standard_form_nu(n: float, m: float, kx: float,
     discriminant is evaluated as (n^2 - m^2)^2 + 4 (n kx + m kp)(m kx + n kp),
     which is exactly 0 on symmetric squeezed thermal states (pure ones
     included), where Delta^2 - 4 det cancels to rounding noise of size
-    sqrt(eps) Delta.  Defined for a positive matrix: n > 0, nm > kx^2 and
-    nm > kp^2; (nan, nan) where nu_+^2 rounds to 0 or below.
+    sqrt(eps) Delta.  (nan, nan) where the matrix is not positive (n > 0,
+    nm - kx^2 > 0 and nm - kp^2 > 0 fail); DomainError where nm, kx^2,
+    kp^2, nu_+^2 or nu_- leave the float range or nu_+^2 rounds to 0, so
+    never (0, inf).
     """
-    delta = n * n + m * m + 2.0 * kx * kp
-    det = (n * m - kx * kx) * (n * m - kp * kp)
-    diff = n * n - m * m
-    disc = diff * diff + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
-    nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
-    if not nu_plus_sq > 0.0:   # delta lost to rounding, as at n ~ 1e17
+    nm, kx2, kp2 = n * m, kx * kx, kp * kp
+    det_x, det_p = nm - kx2, nm - kp2
+    if n > 0.0 and det_x > 0.0 and det_p > 0.0:
+        delta = n * n + m * m + 2.0 * kx * kp
+        diff = n * n - m * m
+        disc = diff * diff + 4.0 * (n * kx + m * kp) * (m * kx + n * kp)
+        nu_plus_sq = 0.5 * (delta + math.sqrt(max(disc, 0.0)))
+        # else delta rounds to 0 (n ~ 1e17) or overflows, as where nm does
+        if 0.0 < nu_plus_sq < math.inf:
+            nu_minus = math.sqrt(det_x * det_p / nu_plus_sq)
+            if nu_minus < math.inf:
+                return nu_minus, math.sqrt(nu_plus_sq)
+    elif max(abs(nm), kx2, kp2) < math.inf:
         return math.nan, math.nan
-    return math.sqrt(det / nu_plus_sq), math.sqrt(nu_plus_sq)
+    raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
 
 
 def check_canonical(params: StandardFormParams) -> None:
@@ -149,28 +159,18 @@ def check_canonical(params: StandardFormParams) -> None:
 def validate_standard_form(params: StandardFormParams) -> ValidityReport:
     """Validity of the plain standard form (n, m, kx, kp), in closed form.
 
-    Positive iff n > 0, nm > kx^2 and nm > kp^2; bona fide iff also
-    nu_- >= 1 - TOL_PSD; pure iff both symplectic eigenvalues lie within
-    TOL_PSD of 1.  A matrix that is not positive has no symplectic
-    eigenvalues and reports (nan, nan).
+    standard_form_nu decides positivity and the float range (its NaN pair
+    reads as not positive); bona fide iff also nu_- >= 1 - TOL_PSD; pure
+    iff both symplectic eigenvalues lie within TOL_PSD of 1.
 
     Raises:
-        DomainError: if nm, kx^2, kp^2 or the spectrum leave the float range.
+        DomainError: from standard_form_nu, outside the float range.
     """
-    n, m, kx, kp = params.n, params.m, params.kx, params.kp
-    nm = n * m
-    if not (n > 0.0 and nm > kx * kx and nm > kp * kp):
-        if not (math.isfinite(nm) and math.isfinite(kx * kx)
-                and math.isfinite(kp * kp)):
-            raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
-        return ValidityReport(True, False, (math.nan, math.nan), False, False,
-                              params)
-    nu = standard_form_nu(n, m, kx, kp)   # not finite if nm is
-    if not (math.isfinite(nu[0]) and math.isfinite(nu[1])):
-        raise DomainError(f"invariants of {(n, m, kx, kp)} leave the float range")
+    nu = standard_form_nu(params.n, params.m, params.kx, params.kp)
     bona_fide = nu[0] >= 1.0 - TOL_PSD
     pure = bona_fide and abs(nu[0] - 1.0) <= TOL_PSD and abs(nu[1] - 1.0) <= TOL_PSD
-    return ValidityReport(True, True, nu, bona_fide, pure, params)
+    return ValidityReport(True, not math.isnan(nu[0]), nu, bona_fide, pure,
+                          params)
 
 
 def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:

@@ -403,7 +403,8 @@ def test_figure1_rejects_positive_a(capsys):
 
 def _pure_curve_50_digits(a, r):
     """min(1, cosh 2r - eta sinh 2r), eta = 2 / (a^2 + 1/a^2), at 50 digits."""
-    with decimal.localcontext(prec=50):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
         a, e = decimal.Decimal(a), (2 * decimal.Decimal(r)).exp()
         eta = 2 / (a * a + 1 / (a * a))
         return float(min(1, (e + 1 / e) / 2 - eta * (e - 1 / e) / 2))
@@ -505,6 +506,24 @@ def test_import_loads_no_scipy(tmp_path):
                 ["figure1", "--r-max", "1", "--points", "5"]]
     out = fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
     assert json.loads(out) == [[0] * len(commands), [[]] * (len(commands) + 1)]
+
+
+def test_verify_decomposition_input_errors_load_no_numpy(tmp_path):
+    # verify-decomposition reads its state before it imports the numpy
+    # module, so a refused input costs no numpy import
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    params = ["--params", "2", "2", "1.2", "-0.8"]
+    commands = [["verify-decomposition"],
+                ["verify-decomposition", *params, "--input", str(malformed)],
+                ["verify-decomposition", "--input", str(tmp_path / "missing.json")],
+                ["verify-decomposition", "--input", str(malformed)]]
+    code = ("import json, sys\n"
+            "from gaussian_eof.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    out = fresh_python(code, json.dumps(commands)).strip().splitlines()[-1]
+    assert json.loads(out) == [[1] * len(commands), False]
 
 
 # the library modules: every module of the package but the command line

@@ -515,6 +515,26 @@ def test_standard_form_nu_matches_50_digit_invariants():
             assert abs(Decimal(value) - ref) <= Decimal("1e-12") * ref, (n, m, kx, kp)
 
 
+def test_standard_form_nu_reads_no_positive_matrix_as_nan():
+    # nm - kx^2 = 2.25 - 2.56 < 0: the square root of a negative det
+    # raised ValueError
+    assert all(map(math.isnan, standard_form_nu(1.5, 1.5, 1.6, -0.1)))
+
+
+@pytest.mark.parametrize("form", [
+    (1.635567709700921e+17, 1.63556770970092e+17,
+     1.6355677097009203e+17, -1.6355677097009203e+17),
+    (8e76, 9.6e76, 8.680004608293248e+76, 7.812004147463923e+76),
+    (1e100, 3.0, 0.0, 0.0)],
+    ids=["nu_+^2 rounds to 0", "partial transpose overflows", "nu_+^2 overflows"])
+def test_standard_form_nu_refuses_spectra_outside_the_float_range(form):
+    # each matrix is positive; the first read (nan, nan), the others
+    # (0.0, inf) for a spectrum whose nu_+ overflows (that of the last is
+    # (3, 1e100))
+    with pytest.raises(DomainError, match="leave the float range"):
+        standard_form_nu(*form)
+
+
 def test_validate_standard_form_matches_eigen_solve():
     def flags(report):
         return report.is_positive, report.is_bona_fide, report.is_pure
