@@ -27,8 +27,7 @@ from .epr_uncertainty import (EprQuantities, delta0, delta_general,
                               delta_prime, delta_pure_squeezed,
                               r_from_delta_prime, uncertainty_floor)
 from .errors import (Degenerate, DomainError, GaussianEofError, Infeasible,
-                     InvalidState, NonFiniteEntry, NoRoot, NotPsd,
-                     SandwichViolation)
+                     InvalidState, NoRoot, NotPsd, SandwichViolation)
 from .standard_form import (StandardFormParams, ValidityReport,
                             reduce_to_standard_params, standard_form_nu,
                             validate_cm, validate_standard_form)

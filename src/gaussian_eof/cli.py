@@ -21,7 +21,7 @@ from .eof_core import eof, g_kappa, giovannetti_family
 from .epr_uncertainty import delta_pure_squeezed
 from .errors import (GaussianEofError, INPUT_ERRORS, NUMERICAL_ERRORS,
                      VERIFICATION_ERRORS, DomainError)
-from .standard_form import (StandardFormParams, params_from_json_dict,
+from .standard_form import (StandardFormParams, reduce_to_standard_params,
                             validate_cm)
 
 _EXIT_INPUT = 1
@@ -88,6 +88,20 @@ def _read_state(path) -> dict:
     if not isinstance(payload, dict):
         raise DomainError("a state file must hold a JSON object")
     return payload
+
+
+def params_from_json_dict(payload: dict) -> StandardFormParams:
+    """Parse the CM JSON schema: {"gamma": [[...]]} or {"params": {...}}."""
+    if "gamma" in payload:
+        return reduce_to_standard_params(payload["gamma"])
+    if "params" in payload:
+        p = payload["params"]
+        try:
+            return StandardFormParams(n=float(p["n"]), m=float(p["m"]),
+                                      kx=float(p["kx"]), kp=float(p["kp"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed params object: {exc}") from exc
+    raise DomainError('input JSON must contain "gamma" or "params"')
 
 
 def _params_from_args(args) -> StandardFormParams:

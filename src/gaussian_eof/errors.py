@@ -1,11 +1,9 @@
 """Exception hierarchy.
 
-Input-validation errors signal bad arguments or unphysical matrices; the
-reduction of a raw CM raises InvalidState for a matrix that is not
-symmetric, not positive, or whose closed-form symplectic eigenvalues
-violate the uncertainty relation.  Numerical errors signal a failed
-solve on otherwise valid input; verification errors signal that a
-cross-check caught an inconsistency.
+An input fault is a DomainError (an argument outside the domain,
+non-finite numbers included) or an InvalidState (no bona fide state).
+Numerical errors signal a failed solve on otherwise valid input;
+verification errors signal that a cross-check caught an inconsistency.
 The CLI maps these groups to exit codes 1, 2 and 3.
 """
 
@@ -15,10 +13,6 @@ class GaussianEofError(Exception):
 
 
 # --- input validation ---
-
-class NonFiniteEntry(GaussianEofError):
-    """A covariance matrix contains NaN or infinity."""
-
 
 class DomainError(GaussianEofError):
     """Argument outside the mathematical domain of an operation."""
@@ -52,6 +46,6 @@ class SandwichViolation(GaussianEofError):
     """EOF fell outside the lower/upper bound sandwich; implementation bug."""
 
 
-INPUT_ERRORS = (NonFiniteEntry, DomainError, InvalidState)
+INPUT_ERRORS = (DomainError, InvalidState)
 NUMERICAL_ERRORS = (NoRoot, Degenerate, Infeasible, NotPsd)
 VERIFICATION_ERRORS = (SandwichViolation,)

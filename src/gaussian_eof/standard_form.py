@@ -22,7 +22,7 @@ matrix constructors.
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .errors import DomainError, InvalidState, NonFiniteEntry
+from .errors import DomainError, InvalidState
 
 # Every tolerance of the package, one name per job; the modules that apply
 # one import it from here.
@@ -186,8 +186,7 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
     errors of the size of its largest entries.
 
     Raises:
-        DomainError: if gamma is not a 4x4 matrix of numbers in the float range.
-        NonFiniteEntry: if any entry is NaN or infinite.
+        DomainError: if gamma is not a 4x4 matrix of finite floats.
     """
     rows = gamma.tolist() if hasattr(gamma, "tolist") else gamma
     try:
@@ -204,7 +203,7 @@ def _raw_cm(gamma) -> tuple[tuple[float, ...], bool]:
                           + ("" if shape is None else f", got shape {shape}"))
     # entry by entry: max() over a NaN depends on where the NaN sits
     if not all(map(math.isfinite, flat)):
-        raise NonFiniteEntry("covariance matrix has non-finite entries")
+        raise DomainError("covariance matrix has non-finite entries")
     (a0, a1, c00, c01, a1t, a2, c10, c11,
      c00t, c10t, b0, b1, c01t, c11t, b1t, b2) = flat
     skew = max(abs(a1 - a1t), abs(c00 - c00t), abs(c01 - c01t),
@@ -267,9 +266,8 @@ def validate_cm(gamma) -> ValidityReport:
     positive reports (nan, nan).
 
     Raises:
-        DomainError: if gamma is not a 4x4 matrix of numbers, its entries
-            are too small to reduce or its invariants overflow.
-        NonFiniteEntry: if any entry is NaN or infinite.
+        DomainError: if gamma is not a 4x4 matrix of finite numbers, its
+            entries are too small to reduce or its invariants overflow.
     """
     upper, sym = _raw_cm(gamma)
     form = _signed_form(*upper)
@@ -292,7 +290,6 @@ def reduce_to_standard_params(gamma) -> StandardFormParams:
 
     Raises:
         DomainError: as validate_cm.
-        NonFiniteEntry: if any entry is NaN or infinite.
         InvalidState: if gamma is not a bona fide CM; the message names the
             test that failed (symmetric, positive, symplectic eigenvalues).
     """
@@ -308,17 +305,3 @@ def reduce_to_standard_params(gamma) -> StandardFormParams:
     form = report.form
     kx, kp = (0.0, 0.0) if form.is_product else (form.kx, -abs(form.kp))
     return StandardFormParams(form.n, form.m, kx, kp)
-
-
-def params_from_json_dict(payload: dict) -> StandardFormParams:
-    """Parse the CM JSON schema: {"gamma": [[...]]} or {"params": {...}}."""
-    if "gamma" in payload:
-        return reduce_to_standard_params(payload["gamma"])
-    if "params" in payload:
-        p = payload["params"]
-        try:
-            return StandardFormParams(n=float(p["n"]), m=float(p["m"]),
-                                      kx=float(p["kx"]), kp=float(p["kp"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed params object: {exc}") from exc
-    raise DomainError('input JSON must contain "gamma" or "params"')

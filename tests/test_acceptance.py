@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from gaussian_eof import (NotPsd, StandardFormParams, critical_params, delta0,
                           delta_prime, eof, f_aux, gaussian_eof,
@@ -206,7 +205,18 @@ def _project_spectrum_to_delta(coeffs, target, a, tol=1e-10):
                 bracket = (float(grid[i]), float(grid[i + 1]))
     if bracket is None:
         return None
-    s = brentq(gap, *bracket, xtol=1e-15, rtol=8.9e-16)
+    # bisection down to adjacent floats or an exact zero of gap
+    lo, hi = bracket
+    g_lo, g_hi = gap(lo), gap(hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi and 0.0 not in (g_lo, g_hi):
+        g_mid = gap(mid)
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+        mid = 0.5 * (lo + hi)
+    s = lo if abs(g_lo) <= abs(g_hi) else hi
     out = spec_at(s)
     if np.any(np.diff(out) > 1e-15) or abs(gap(s)) > tol:
         return None

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import pkgutil
+import re
 import sys
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_overflowing_invariants_are_a_json_error(tmp_path, capsys, argv):
     # JSON, and bona fide.  Such a state is outside the float range, which
     # is no broken uncertainty relation.  So are n m = inf, which read as
     # "no positive matrix", and the normalisation of 1e200 I, whose NaN
-    # entries read as NonFiniteEntry although every entry is finite.  A
+    # entries were refused as non-finite although every entry is finite.  A
     # positive matrix with large off-diagonal entries, whose det A = inf - inf
     # is NaN, read as not positive.  A partial transpose whose spectrum
     # overflows read as entangled, and the squeezing solve raised
@@ -309,6 +310,25 @@ def test_state_file_must_hold_an_object(capsys, command):
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "DomainError", "message":
                                    "a state file must hold a JSON object"}
+
+
+def _nan_state(tmp_path):
+    """A gamma file whose [3][3] entry is NaN."""
+    gamma = np.eye(4).tolist()
+    gamma[3][3] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"gamma": gamma}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["eof", "bounds", "validate",
+                                     "verify-decomposition"])
+def test_non_finite_matrix_is_a_domain_error(tmp_path, capsys, command):
+    # a NaN entry is an argument outside the domain, at every command
+    code, out, err = run_cli(capsys, command, "--input", str(_nan_state(tmp_path)))
+    assert (code, out) == (1, "")
+    assert err == ('{"error": "DomainError", "message": '
+                   '"covariance matrix has non-finite entries"}\n')
 
 
 def test_linspace_is_numpy_linspace():
@@ -468,7 +488,7 @@ def test_unknown_command_exits_one(capsys):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is a test-only dependency and sampling runs on one thread; every
+    # scipy is no dependency and sampling runs on one thread; every
     # command but verify-decomposition (the import, eof and bounds with
     # --params or with --input on a gamma matrix, table1 and validate in
     # every format, sweep-family and figure1) loads neither numpy nor scipy
@@ -517,7 +537,8 @@ def test_verify_decomposition_input_errors_load_no_numpy(tmp_path):
     commands = [["verify-decomposition"],
                 ["verify-decomposition", *params, "--input", str(malformed)],
                 ["verify-decomposition", "--input", str(tmp_path / "missing.json")],
-                ["verify-decomposition", "--input", str(malformed)]]
+                ["verify-decomposition", "--input", str(malformed)],
+                ["verify-decomposition", "--input", str(_nan_state(tmp_path))]]
     code = ("import json, sys\n"
             "from gaussian_eof.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -597,6 +618,27 @@ def test_numpy_is_imported_by_decomposition_alone():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["decomposition.py"]
+
+
+def test_declared_dependencies_are_what_the_tests_import():
+    # the top-level modules tests/*.py import, less the standard library,
+    # the package and the local helpers, are dependencies plus the test extra
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parent
+    project = tomllib.loads((root.parent / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]
+                + project["optional-dependencies"]["test"]}
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {"gaussian_eof", "conftest", "fock_oracle"}
+    assert imported - set(sys.stdlib_module_names) - local == declared
 
 
 def test_star_import_and_numpy_commands_in_a_fresh_process(tmp_path):
