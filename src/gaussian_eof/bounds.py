@@ -14,7 +14,7 @@ on which 1 + x1^2 / det Gamma is stationary at the roots of a quartic.
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .eof_core import EofReport, _symmetric, eof, f_aux
 from .errors import Infeasible, SandwichViolation
@@ -24,8 +24,7 @@ from .standard_form import (_VACUUM_TOL, SANDWICH_TOL, StandardFormParams,
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))   # a cube root of 1
 
 
-@dataclass(frozen=True)
-class GammaCandidate:
+class GammaCandidate(NamedTuple):
     """Pure-state block parameters at a feasible point of the minimization."""
     x0: float
     x1: float
@@ -48,8 +47,7 @@ class GammaCandidate:
         return (k11 - du) * (k22 - dv) - ex * ex, du * dv - dx * dx
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     eof: float
     gaussian_eof: float
     rigolin_lower: float
@@ -58,7 +56,7 @@ class BoundsReport:
     m_opt: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _blocks(params: StandardFormParams) -> tuple[tuple[float, ...], ...]:

@@ -11,7 +11,7 @@ It is the package's only numpy module, and holds the two CM constructors.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def standard_form_cm(params: StandardFormParams, r1: float,
     ])
 
 
-@dataclass(frozen=True)
-class DecompositionSpec:
+class DecompositionSpec(NamedTuple):
     r_opt: float
     weight_matrix: np.ndarray      # M = gamma_sigma - gamma_psi, PSD
     target_cm: np.ndarray          # gamma_sigma in the reduced frame

@@ -6,7 +6,7 @@ critical Duan parameter and maps it through f to the EOF in bits.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .epr_uncertainty import EprQuantities, delta0
 from .errors import Degenerate, DomainError, InvalidState
@@ -23,8 +23,7 @@ _SEPARABLE = EprQuantities(a0=1.0, b0=0.0, delta0=1.0, delta0_prime=1.0,
                            separable=True, r1=1.0, r2=1.0)
 
 
-@dataclass(frozen=True)
-class EofReport:
+class EofReport(NamedTuple):
     params: StandardFormParams
     epr: EprQuantities
     eof: float

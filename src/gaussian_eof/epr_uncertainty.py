@@ -12,7 +12,7 @@ fully reduced form the uncertainty is evaluated in; EprQuantities carries them.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidState
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
@@ -21,8 +21,7 @@ from .standard_form import (TOL_CLAMP, TOL_RADICAND, TOL_UNIT_INTERVAL,
                             StandardFormParams)
 
 
-@dataclass(frozen=True)
-class EprQuantities:
+class EprQuantities(NamedTuple):
     a0: float
     b0: float
     delta0: float        # clamped to [b0, 1]
@@ -32,7 +31,7 @@ class EprQuantities:
     r2: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def delta_general(params: StandardFormParams, r1: float, r2: float, a: float) -> float:

@@ -20,7 +20,7 @@ matrix constructors.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidState
 
@@ -52,8 +52,8 @@ PSD_TOL = 1e-9        # a decomposition weight eigenvalue below -this: NotPsd
 TOL_NULL_EIG = 1e-12  # sampler eigenvalues below this max(lam_max, 1) are null
 
 
-@dataclass(frozen=True)
-class StandardFormParams:
+class StandardFormParams(NamedTuple("StandardFormParams", [
+        ("n", float), ("m", float), ("kx", float), ("kp", float)])):
     """Standard-form description (n, m, kx, kp) of a state: four finite floats.
 
     n and m are the local symplectic invariants sqrt(det A), sqrt(det B) of
@@ -61,42 +61,40 @@ class StandardFormParams:
     canonicalization (kx >= |kp|, kp <= 0 for entangled candidates).
     """
 
-    n: float
-    m: float
-    kx: float
-    kp: float
+    __slots__ = ()
 
-    def __init__(self, n, m, kx, kp):
+    def __new__(cls, n, m, kx, kp):
         try:
             if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(kx)
                     and math.isfinite(kp)):
                 raise DomainError("parameters must be finite")
         except OverflowError:   # an int that no float holds
             raise DomainError("parameters leave the float range") from None
-        object.__setattr__(self, "n", float(n))   # the class is frozen
-        object.__setattr__(self, "m", float(m))
-        object.__setattr__(self, "kx", float(kx))
-        object.__setattr__(self, "kp", float(kp))
+        return tuple.__new__(cls, (float(n), float(m), float(kx), float(kp)))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _replace checks its fields too."""
+        return cls(*iterable)
 
     @property
     def is_product(self) -> bool:
         return abs(self.kx) < TOL_PRODUCT and abs(self.kp) < TOL_PRODUCT
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """A state's validity; form is the standard form judged (the parameters,
-    or a raw CM's signed form; None when A or B is not positive)."""
+    or a raw CM's signed form; None when A or B is not positive), not in
+    to_dict."""
     is_symmetric_matrix: bool
     is_positive: bool
     symplectic_eigenvalues: tuple[float, float]
     is_bona_fide: bool
     is_pure: bool
-    form: StandardFormParams | None = field(default=None, compare=False,
-                                            repr=False)
+    form: StandardFormParams | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -274,8 +272,8 @@ def validate_cm(gamma) -> ValidityReport:
     if form is None:
         return ValidityReport(sym, False, (math.nan, math.nan), False, False)
     report = validate_standard_form(form)
-    return report if sym else replace(report, is_symmetric_matrix=False,
-                                      is_bona_fide=False, is_pure=False)
+    return report if sym else report._replace(
+        is_symmetric_matrix=False, is_bona_fide=False, is_pure=False)
 
 
 def reduce_to_standard_params(gamma) -> StandardFormParams:

@@ -18,8 +18,7 @@ reference tests hold the closed forms to.
 """
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import NamedTuple
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
 from .standard_form import (
@@ -27,23 +26,21 @@ from .standard_form import (
     StandardFormParams, check_canonical, validate_standard_form)
 
 
-@dataclass(frozen=True)
-class SqueezingSolution:
+class SqueezingSolution(NamedTuple):
     r1: float
     r2: float
     residual_ratio: float
     residual_balance: float
     balance_terms: float = 0.0       # scale of residual_balance's rounding
-    branch: ClassVar[str] = "general"          # the only solve path
-    multiple_brackets: ClassVar[bool] = False  # one bracket, one root
+    branch = "general"          # the only solve path
+    multiple_brackets = False   # one bracket, one root
 
     @property
     def max_residual(self) -> float:
         return max(abs(self.residual_ratio), abs(self.residual_balance))
 
 
-@dataclass(frozen=True)
-class CriticalParams:
+class CriticalParams(NamedTuple):
     """Critical Duan parameter a0 and the uncertainty floor b0 it induces."""
     a0: float
     b0: float

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import decimal
 import json
 import math
@@ -381,7 +380,7 @@ def test_table1_absent_cell_matches_only_absent(capsys, monkeypatch):
 
     def flipped(params):
         report = real(params)
-        return dataclasses.replace(report, oliveira_upper=(
+        return report._replace(oliveira_upper=(
             None if report.oliveira_upper is not None else 1.0))
 
     monkeypatch.setattr(bounds_mod, "bounds_report", flipped)
@@ -492,8 +491,8 @@ def test_import_loads_no_scipy(tmp_path):
     # command but verify-decomposition (the import, eof and bounds with
     # --params or with --input on a gamma matrix, table1 and validate in
     # every format, sweep-family and figure1) loads neither numpy nor scipy
-    # nor concurrent.futures, nor fractions and decimal, which cost
-    # milliseconds of every command's start
+    # nor concurrent.futures, nor fractions, decimal, dataclasses and
+    # inspect, which cost milliseconds of every command's start
     path = tmp_path / "state.json"
     gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
     path.write_text(json.dumps({"gamma": gamma.tolist()}))
@@ -501,7 +500,8 @@ def test_import_loads_no_scipy(tmp_path):
             "def heavy():\n"
             "    return sorted(m for m in sys.modules\n"
             "                  if m.split('.')[0] in ('numpy', 'scipy')\n"
-            "                  or m in ('fractions', 'decimal')\n"
+            "                  or m in ('fractions', 'decimal',\n"
+            "                           'dataclasses', 'inspect')\n"
             "                  or m.startswith('concurrent.futures'))\n"
             "import gaussian_eof\n"
             "loaded = [heavy()]\n"

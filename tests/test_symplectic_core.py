@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import astuple, fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussian_eof import (DomainError, GaussianEofError, InvalidState,
-                          StandardFormParams, bounds_report, eof, gaussian_eof,
+                          StandardFormParams, bounds_report, critical_params,
+                          decomposition_spec, eof, gaussian_eof,
                           minimize_reduced_determinant, oliveira_upper,
                           reduce_to_standard_params, rigolin_lower,
                           solve_squeezings, squeezed_vacuum_cm,
@@ -297,8 +297,8 @@ def test_validity_report_form_stays_out_of_the_verdict():
     report = validate_standard_form(params)
     assert report.form is params
     assert validate_cm(standard_form_cm(params, 1.0, 1.0)).form == params
-    assert report == replace(report, form=None)
-    assert "form" not in report.to_dict() and "form" not in repr(report)
+    assert report._replace(form=None).to_dict() == report.to_dict()
+    assert "form" not in report.to_dict()
     assert validate_cm(np.diag([1.0, -1.0, 1.0, 1.0])).form is None
 
 
@@ -445,7 +445,44 @@ def test_standard_form_cm_uses_solved_factors():
 
 
 def test_standard_form_params_are_the_state_alone():
-    assert [f.name for f in fields(StandardFormParams)] == ["n", "m", "kx", "kp"]
+    assert StandardFormParams._fields == ("n", "m", "kx", "kp")
+
+
+def test_replace_checks_and_converts_like_the_constructor():
+    params = StandardFormParams(2.0, 1.5, 1.0, -1.0)
+    with pytest.raises(DomainError, match="^parameters must be finite$"):
+        params._replace(n=math.nan)
+    kx = params._replace(kx=Fraction(6, 5)).kx
+    assert type(kx) is float and kx == 1.2
+
+
+def _records():
+    """One instance of each of the package's nine records, by class name."""
+    params = StandardFormParams(2.0, 1.5, 1.0, -1.0)
+    sol = solve_squeezings(params)
+    report = eof(params)
+    return {
+        "StandardFormParams": params,
+        "ValidityReport": validate_standard_form(params),
+        "SqueezingSolution": sol,
+        "CriticalParams": critical_params(params, sol),
+        "EprQuantities": report.epr,
+        "EofReport": report,
+        "GammaCandidate": minimize_reduced_determinant(params)[1],
+        "BoundsReport": bounds_report(params),
+        "DecompositionSpec": decomposition_spec(
+            StandardFormParams(2.0, 2.0, 1.2, -0.8)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_are_immutable(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
 
 
 @pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (1.0, math.nan),
@@ -633,7 +670,7 @@ def _fraction(x):
 def test_every_real_number_type_gives_the_float_reports(state, convert):
     floats = StandardFormParams(*state)
     typed = StandardFormParams(*map(convert, state))
-    assert [type(value) for value in astuple(typed)] == [float] * 4
+    assert [type(value) for value in tuple(typed)] == [float] * 4
     for entry in (eof, bounds_report, validate_standard_form):
         want, got = entry(floats), entry(typed)
         assert got == want
