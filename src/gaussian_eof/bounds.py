@@ -220,7 +220,6 @@ def _gaussian_eof(params: StandardFormParams,
         dp = base.epr.delta0_prime
         return base.eof, (dp + 1.0 / dp) ** 2 / 4.0
     m_opt, _ = minimize_reduced_determinant(params)
-    m_opt = max(m_opt, 1.0)
     return f_aux(math.sqrt(m_opt) - math.sqrt(m_opt - 1.0)), m_opt
 
 

@@ -42,23 +42,27 @@ class EofReport(NamedTuple):
         }
 
 
+def _entropy(s: float) -> float:
+    """g(1 + s) = (1 + s) log2(1 + s) - s log2 s in bits, 0 at s <= 0; above
+    s = 1, where -s log2 s turns negative, as log2(1 + s) + s log2(1 + 1/s)."""
+    if s <= 0.0:
+        return 0.0
+    if s <= 1.0:
+        return (1.0 + s) * math.log1p(s) / _LN2 - s * math.log2(s)
+    return (math.log1p(s) + s * math.log1p(1.0 / s)) / _LN2
+
+
 def f_aux(delta: float) -> float:
     """Entanglement of the pure squeezed state with uncertainty delta, in bits.
 
     f(delta) = c+ log2 c+ - c- log2 c- with c± = (delta^-1/2 ± delta^1/2)^2 / 4.
-    Since c+ - c- = 1 the evaluation uses s = c- = (1 - delta)^2 / (4 delta)
-    and log1p, which stays accurate as delta -> 1 where c- underflows.
+    Since c+ - c- = 1 this is g(1 + s) at s = c- = (1 - delta)^2 / (4 delta),
+    which stays accurate as delta -> 1 where c- underflows.
     """
-    if not math.isfinite(delta) or delta <= 0.0:
+    if not 0.0 < delta <= 1.0 + TOL_UNIT_INTERVAL:
         raise DomainError(f"f is defined on (0, 1], got {delta}")
-    if delta > 1.0:
-        if delta > 1.0 + TOL_UNIT_INTERVAL:
-            raise DomainError(f"f is defined on (0, 1], got {delta}")
-        delta = 1.0
-    s = (1.0 - delta) ** 2 / (4.0 * delta)
-    if s <= 0.0:
-        return 0.0
-    return (1.0 + s) * math.log1p(s) / _LN2 - s * math.log2(s)
+    delta = min(delta, 1.0)
+    return _entropy((1.0 - delta) ** 2 / (4.0 * delta))
 
 
 def _report(params: StandardFormParams, epr: EprQuantities,
@@ -162,8 +166,7 @@ def g_kappa(kappa: float) -> float:
     """kappa log2 kappa - (kappa - 1) log2 (kappa - 1), with the 0 log 0 limit."""
     if not 1.0 <= kappa < math.inf:
         raise DomainError(f"gain must be finite and >= 1, got {kappa}")
-    tail = 0.0 if kappa == 1.0 else (kappa - 1.0) * math.log2(kappa - 1.0)
-    return kappa * math.log2(kappa) - tail
+    return _entropy(kappa - 1.0)
 
 
 def giovannetti_family(kappa: float, nbar: float

@@ -42,7 +42,6 @@ TOL_RADICAND = 1e-12  # Delta^2 - b^2 in delta_prime from -this up clamps to 0
 TOL_RADICAND_ST = 1e-9  # the same in _squeezed_thermal, relative to the radicands' scale
 # the r1 solve
 TOL_OFF_MANIFOLD = 1e-12  # t2 below -this: balance residual undefined (NoRoot)
-TOL_PURE_LIMIT = 1e-12  # n r1 - 1 or m r2 - 1 at most this: a0 indeterminate
 TOL_RATIO_RESIDUAL = 1e-13  # ratio residual allowed, relative to its terms
 TOL_BALANCE_RESIDUAL = 1e-12  # balance residual allowed, relative to balance_terms
 # the Gaussian EOF, the bound sandwich and the decomposition

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
 from .standard_form import (
-    TOL_BALANCE_RESIDUAL, TOL_OFF_MANIFOLD, TOL_PURE_LIMIT, TOL_RATIO_RESIDUAL,
+    TOL_BALANCE_RESIDUAL, TOL_OFF_MANIFOLD, TOL_RATIO_RESIDUAL,
     StandardFormParams, check_canonical, validate_standard_form)
 
 
@@ -190,7 +190,7 @@ def critical_params(params: StandardFormParams,
     window end r1 = n, which the check thus exempts.
 
     Raises:
-        Degenerate: pure-state limit n r1 - 1 <= TOL_PURE_LIMIT (a0
+        Degenerate: pure-state limit n r1 - 1 <= 0 or m r2 - 1 <= 0 (a0
             indeterminate; callers fall back to a0 = 1), or a0^2 so far
             from 1 that the floor b0 rounds to 1.
         InvalidState: if (r1, r2) does not satisfy the ratio or the balance
@@ -199,7 +199,7 @@ def critical_params(params: StandardFormParams,
     n, m, r1, r2 = params.n, params.m, sol.r1, sol.r2
     den = n * r1 - 1.0
     num = m * r2 - 1.0
-    if den <= TOL_PURE_LIMIT or num <= TOL_PURE_LIMIT:
+    if den <= 0.0 or num <= 0.0:
         raise Degenerate("pure-state limit: critical parameter indeterminate")
     a0sq = math.sqrt(num / den)
     terms = (n * r1 + 1.0) * (m / r2 + 1.0) + (n / r1 + 1.0) * (m * r2 + 1.0)

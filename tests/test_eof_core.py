@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -10,7 +11,8 @@ from gaussian_eof import (DomainError, InvalidState, NoRoot,
                           giovannetti_family, solve_squeezings,
                           squeezed_vacuum_cm, standard_form_nu,
                           validate_standard_form)
-from gaussian_eof import eof_core
+from gaussian_eof import bounds_report, eof_core
+from gaussian_eof.cli import main as cli_main
 from gaussian_eof.standard_form import TOL_PSD
 
 from conftest import (beam_splitter, fresh_python, general_route_eof,
@@ -353,14 +355,21 @@ def test_eof_reports_the_params_it_was_given():
 def test_vacuum_mode_is_separable_on_the_general_route():
     # kx != -kp: these states used to reach the squeezing solve, which has
     # no root (the r1 window [1, n] is empty at n = 1); a mode within 1e-12
-    # of the vacuum makes the state a product in either mode order
-    for n, m in ((2.0, 1.0), (2.0, 1.0 - 1e-13), (2.0, 1.0 + 1e-13)):
-        for p in (StandardFormParams(n, m, 1e-7, -5e-8),
-                  StandardFormParams(m, n, 1e-7, -5e-8)):
-            report = eof(p)
-            assert report.method == "separable" and report.eof == 0.0
-            assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
-            assert (report.epr.r1, report.epr.r2) == (1.0, 1.0)
+    # of the vacuum makes the state a product in either mode order.  The
+    # last two states are bona fide within TOL_PSD and meet no other test
+    # of separability: the general route gives them about 1e-10 bits
+    states = [q for n, m in ((2.0, 1.0), (2.0, 1.0 - 1e-13), (2.0, 1.0 + 1e-13))
+              for q in (StandardFormParams(n, m, 1e-7, -5e-8),
+                        StandardFormParams(m, n, 1e-7, -5e-8))]
+    states += [StandardFormParams(1.000000000000906, 1.9521958512253754,
+                                  3.6085483736904805e-05, -2.7738669857500022e-05),
+               StandardFormParams(1.3580695291949634, 1.0000000000008107,
+                                  4.835192274908465e-05, -4.7561646187785796e-05)]
+    for p in states:
+        report = eof(p)
+        assert report.method == "separable" and report.eof == 0.0, p
+        assert (report.epr.a0, report.epr.b0) == (1.0, 0.0)
+        assert (report.epr.r1, report.epr.r2) == (1.0, 1.0)
 
 
 def test_ppt_band_is_separable():
@@ -443,11 +452,68 @@ def test_squeezed_thermal_refuses_a_negative_radicand():
         eof_core._squeezed_thermal(2.0, 2.0, 3.0)
 
 
+def test_squeezed_thermal_admits_a_radicand_rounded_below_zero():
+    # nu_- = 1 - 1.4e-11: the state is bona fide within TOL_PSD, and the
+    # radicand n (m - 1) - kx sqrt((n - 1)(m - 1)) rounds below 0 within
+    # TOL_RADICAND_ST of its scale, so the closed form clamps it to 0
+    p = StandardFormParams(367043.58007021144, 1.4086356738698669,
+                           387.2822088896725, -387.2822088896725)
+    assert 1.0 - TOL_PSD < standard_form_nu(p.n, p.m, p.kx, p.kp)[0] < 1.0
+    report = eof(p)
+    assert report.method == "squeezed_thermal"
+    assert report.eof == 2.3623993448970576e-05
+    bounds = bounds_report(p)   # raises SandwichViolation if the sandwich fails
+    assert bounds.eof == report.eof
+
+
 def test_g_kappa():
     assert g_kappa(1.0) == 0.0
     assert g_kappa(2.0) == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        g_kappa(0.5)
+    for bad in (0.5, 1.0 - 1e-16, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            g_kappa(bad)
+    # g(cosh^2 r) is the entanglement f(e^{-2r}) of the two-mode squeezed vacuum
+    for r in (0.1, 0.5, 0.8813735870195429, 1.0, 3.0, 10.0):
+        assert g_kappa(math.cosh(r) ** 2) == pytest.approx(f_aux(math.exp(-2.0 * r)),
+                                                           rel=1e-13)
+    # g(kappa) = log2(kappa - 1) + 1/ln 2 + O(1/kappa) for large gain
+    assert g_kappa(1e100) == pytest.approx(
+        math.log2(1e100) + 1.0 / math.log(2.0), rel=1e-15)
+
+
+def _entropy_reference(s):
+    """g(1 + s) in bits for a Decimal s, at 300 digits (1e100 needs them)."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        return float(((1 + s) * (1 + s).ln() - s * s.ln()) / Decimal(2).ln())
+
+
+def _f_reference(delta):
+    """f(delta) at 300 digits, for the float delta taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        d = Decimal(delta)
+        return _entropy_reference((1 - d) ** 2 / (4 * d))
+
+
+def test_entropy_kernel_matches_a_300_digit_evaluation(capsys):
+    # f and g evaluate one kernel; above s = 1 (Delta below 0.17, kappa
+    # above 2) (1 + s) log2(1 + s) and s log2 s cancel, so it may not
+    # subtract them there
+    for d in (0.9999999, 0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-100):
+        assert f_aux(d) == pytest.approx(_f_reference(d), rel=1e-15, abs=0.0), d
+    # either side of kappa = 2, where the evaluation changes form
+    for k in (1.5, 2.0 - 2.0 ** -52, 2.0, 2.0 + 2.0 ** -51, 10.0, 1e4, 1e8,
+              1e12, 1e100):
+        ref = _entropy_reference(Decimal(k) - 1)
+        assert g_kappa(k) == pytest.approx(ref, rel=1e-15, abs=0.0), k
+    # a symmetric state 20 bits in: the printed EOF is f at the printed Delta0'
+    code = cli_main(["eof", "--params", "1e6", "1e6", "999999.9999995",
+                     "-999999.9999995", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["method"] == "pure"
+    assert payload["eof"] == pytest.approx(_f_reference(payload["delta0_prime"]),
+                                           rel=1e-15, abs=0.0)
 
 
 def test_giovannetti_product_member():
