@@ -57,12 +57,17 @@ def f_aux(delta: float) -> float:
 
     f(delta) = c+ log2 c+ - c- log2 c- with c± = (delta^-1/2 ± delta^1/2)^2 / 4.
     Since c+ - c- = 1 this is g(1 + s) at s = c- = (1 - delta)^2 / (4 delta),
-    which stays accurate as delta -> 1 where c- underflows.
+    which stays accurate as delta -> 1 where c- underflows.  Below about
+    delta = 1.39e-309, s leaves the float range: DomainError.
     """
     if not 0.0 < delta <= 1.0 + TOL_UNIT_INTERVAL:
         raise DomainError(f"f is defined on (0, 1], got {delta}")
     delta = min(delta, 1.0)
-    return _entropy((1.0 - delta) ** 2 / (4.0 * delta))
+    s = (1.0 - delta) ** 2 / (4.0 * delta)
+    if s == math.inf:
+        raise DomainError(f"s = (1 - delta)^2 / (4 delta) leaves the float "
+                          f"range at delta = {delta}")
+    return _entropy(s)
 
 
 def _report(params: StandardFormParams, epr: EprQuantities,

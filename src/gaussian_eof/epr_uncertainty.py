@@ -17,8 +17,7 @@ from typing import NamedTuple
 from .errors import DomainError, InvalidState
 from .standard_form_solver import (CriticalParams, SqueezingSolution,
                                    _uncertainty_floor)
-from .standard_form import (TOL_CLAMP, TOL_RADICAND, TOL_UNIT_INTERVAL,
-                            StandardFormParams)
+from .standard_form import TOL_CLAMP, TOL_UNIT_INTERVAL, StandardFormParams
 
 
 class EprQuantities(NamedTuple):
@@ -120,8 +119,8 @@ def uncertainty_floor(a: float) -> float:
 def delta_prime(delta: float, b: float) -> float:
     """The map Delta -> Delta' = (Delta + sqrt(Delta^2 - b^2)) / (1 + sqrt(1 - b^2)).
 
-    Identity at b = 0 and at Delta = 1.  A radicand within TOL_RADICAND of
-    zero is clamped; Delta beyond TOL_CLAMP out of [b, 1] is a domain error.
+    Identity at b = 0 and at Delta = 1.  Delta beyond TOL_CLAMP out of
+    [b, 1] is a domain error; within it, a negative radicand reads 0.
     """
     if not 0.0 <= b < 1.0:
         raise DomainError(f"floor b must lie in [0, 1), got {b}")
@@ -129,16 +128,12 @@ def delta_prime(delta: float, b: float) -> float:
         raise DomainError(f"delta {delta} below floor {b}")
     if delta > 1.0 + TOL_CLAMP:
         raise DomainError(f"delta {delta} above 1")
-    rad = delta * delta - b * b
-    if rad < 0.0:
-        if rad < -TOL_RADICAND:
-            raise DomainError(f"negative radicand {rad}")
-        rad = 0.0
+    rad = max(delta * delta - b * b, 0.0)
     return (delta + math.sqrt(rad)) / (1.0 + math.sqrt(1.0 - b * b))
 
 
 def r_from_delta_prime(dp: float) -> float:
     """Squeezing parameter with e^(-2r) = Delta', for Delta' in (0, 1]."""
-    if not math.isfinite(dp) or dp <= 0.0 or dp > 1.0 + TOL_UNIT_INTERVAL:
+    if not 0.0 < dp <= 1.0 + TOL_UNIT_INTERVAL:
         raise DomainError(f"delta_prime must lie in (0, 1], got {dp}")
-    return max(-0.5 * math.log(min(dp, 1.0)), 0.0)
+    return -0.5 * math.log(min(dp, 1.0))

@@ -38,10 +38,8 @@ TOL_SQUEEZED_THERMAL = 1e-12  # |kx + kp| at most this times kx: its closed form
 # the closed forms
 TOL_UNIT_INTERVAL = 1e-12  # an argument of f or r(Delta') up to 1 + this reads 1
 TOL_CLAMP = 1e-9      # Delta0 below b0, or above 1, by more than this is refused
-TOL_RADICAND = 1e-12  # Delta^2 - b^2 in delta_prime from -this up clamps to 0
-TOL_RADICAND_ST = 1e-9  # the same in _squeezed_thermal, relative to the radicands' scale
+TOL_RADICAND_ST = 1e-9  # _squeezed_thermal radicands from -this times scale up are 0
 # the r1 solve
-TOL_OFF_MANIFOLD = 1e-12  # t2 below -this: balance residual undefined (NoRoot)
 TOL_RATIO_RESIDUAL = 1e-13  # ratio residual allowed, relative to its terms
 TOL_BALANCE_RESIDUAL = 1e-12  # balance residual allowed, relative to balance_terms
 # the Gaussian EOF, the bound sandwich and the decomposition

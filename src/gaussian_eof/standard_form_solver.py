@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .errors import Degenerate, DomainError, InvalidState, NoRoot
 from .standard_form import (
-    TOL_BALANCE_RESIDUAL, TOL_OFF_MANIFOLD, TOL_RATIO_RESIDUAL,
-    StandardFormParams, check_canonical, validate_standard_form)
+    TOL_BALANCE_RESIDUAL, TOL_RATIO_RESIDUAL, StandardFormParams,
+    check_canonical, validate_standard_form)
 
 
 class SqueezingSolution(NamedTuple):
@@ -59,23 +59,21 @@ def _balance_kernel(n: float, m: float, kx: float, kp: float):
     (r2, ratio residual, balance residual, balance terms), the terms
     scaling the residual's rounding: |s kx| + |kp/s|, and sqrt(t1) and
     sqrt(t2) weighted by the condition of their factors, infinite where t1
-    or t2 is 0 (as at r1 = n).  Raises NoRoot where t2 < -TOL_OFF_MANIFOLD,
-    off the solution manifold.
+    or t2 is 0 (as at r1 = n).  Its one caller passes n > 1 and m >= 1 and
+    r1 in [1, n], where big > 0 and small >= 0 hold exactly; t1 and t2 are
+    clamped at 0, as r2 may round just outside [1, m].
     """
-    off_manifold = -TOL_OFF_MANIFOLD   # a cell of the closure, as n, m, kx, kp
     def balance(r1, full=False):
         big, small = n * r1 - 1.0, n / r1 - 1.0
         bq, cq = big - small, -big * m
         q = -0.5 * (bq + math.sqrt(bq * bq - 4.0 * (small * m) * cq))
         r2 = cq / q
         big2, small2 = m * r2 - 1.0, m / r2 - 1.0
-        t2 = small * small2
-        if t2 < off_manifold:
-            raise NoRoot(f"balance residual undefined at r1 = {r1}")
-        t1 = (0.0 if big < 0.0 else big) * (0.0 if big2 < 0.0 else big2)
+        t1, t2 = big * big2, small * small2
         s = math.sqrt(r1 * r2)
         sx, sp = abs(s * kx), abs(kp / s)
-        st1, st2 = math.sqrt(t1), math.sqrt(0.0 if t2 < 0.0 else t2)
+        st1 = math.sqrt(0.0 if t1 < 0.0 else t1)
+        st2 = math.sqrt(0.0 if t2 < 0.0 else t2)
         residual = sx - sp - (st1 - st2)
         if not full:
             return residual
@@ -104,7 +102,8 @@ def _solve_r1(params: StandardFormParams, balance) -> float:
     A state that is bona fide only within TOL_PSD (nu_- < 1) may keep the
     residual positive over the whole window, its root lying beyond r1 = n
     by a margin of the tolerance's size; the window end r1 = n is then
-    returned.
+    returned.  NoRoot is raised only where n <= 1 leaves no window, or
+    where the residual keeps its sign over it on a state not bona fide.
     """
     n = params.n
     if n <= 1.0:
@@ -151,10 +150,9 @@ def solve_squeezings(params: StandardFormParams) -> SqueezingSolution:
     Raises:
         DomainError: parameters not canonical, kx > 0 > kp fails, or
             the solve leaves the float range.
-        NoRoot: if the balance residual has the same sign at both ends of
-            the window r1 in [1, n] on a state that is not bona fide (as for
-            kx^2 > n m), or n <= 1 leaves no window; either signals invalid
-            input parameters.
+        NoRoot: only where the balance residual has the same sign at both
+            ends of the window r1 in [1, n] on a state that is not bona fide
+            (as for kx^2 > n m), or n <= 1 leaves no window: invalid input.
     """
     check_canonical(params)
     n, m, kx, kp = params.n, params.m, params.kx, params.kp

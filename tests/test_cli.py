@@ -578,6 +578,33 @@ def test_public_names_resolve():
     assert set(gaussian_eof.__all__) | set(_SUBMODULES) | {"__version__"} <= set(listed)
 
 
+def test_lazy_package_loads_numpy_only_with_decomposition():
+    # a new interpreter: the import loads no numpy, dir() lists the lazy
+    # submodules before either is loaded, and bounds resolves without numpy
+    # and decomposition with it
+    lazy = ("bounds", "decomposition")
+    code = ("import json, sys\n"
+            "import gaussian_eof as g\n"
+            "seen = ['numpy' in sys.modules, sorted(dir(g))]\n"
+            "for m in sys.argv[1:]:\n"
+            "    stored = m in vars(g)\n"
+            "    mod = getattr(g, m)\n"
+            "    seen.append([stored, mod is sys.modules['gaussian_eof.' + m],\n"
+            "                 'numpy' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    out = fresh_python(code, *lazy).strip().splitlines()[-1]
+    numpy_at_import, listed, bounds, decomposition = json.loads(out)
+    assert numpy_at_import is False
+    assert set(gaussian_eof.__all__) | set(lazy) <= set(listed)
+    assert bounds == [False, True, False]
+    assert decomposition == [False, True, True]
+    # and in this process, the module hooks themselves
+    assert gaussian_eof.__getattr__("bounds") is bounds_mod
+    assert set(gaussian_eof.__all__) | set(lazy) <= set(gaussian_eof.__dir__())
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gaussian_eof.__getattr__("no_such_name")
+
+
 def test_every_module_is_reached_by_a_command(tmp_path):
     # the README's commands, verify-decomposition included, run in one
     # process load every module of the package: a module that no command

@@ -516,6 +516,16 @@ def test_entropy_kernel_matches_a_300_digit_evaluation(capsys):
                                            rel=1e-15, abs=0.0)
 
 
+def test_f_aux_refuses_delta_whose_s_leaves_the_float_range():
+    # s = (1 - Delta)^2 / (4 Delta) overflows below about 1.39e-309, where
+    # the kernel would form inf * 0 = nan
+    for d in (1.39e-309, 1e-309, 5e-324):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            f_aux(d)
+    # within 7e-17 relative of a 400-digit evaluation
+    assert f_aux(1.4e-309) == 1025.4330495339136
+
+
 def test_giovannetti_product_member():
     params, report, g = giovannetti_family(1.0, 3.0)
     assert params.kx == pytest.approx(0.0, abs=1e-12)

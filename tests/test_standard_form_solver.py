@@ -164,12 +164,9 @@ def test_random_states_residuals_and_bounds():
 
 
 def _library_residual(p, r1):
-    """The solver's balance residual at r1, as _solve_r1 sees it; None
-    where the kernel refuses r1."""
-    try:
-        return standard_form_solver._balance_kernel(p.n, p.m, p.kx, p.kp)(r1)
-    except NoRoot:
-        return None
+    """The solver's balance residual at r1, as _solve_r1 sees it; the kernel
+    refuses no r1."""
+    return standard_form_solver._balance_kernel(p.n, p.m, p.kx, p.kp)(r1)
 
 
 def _bisection_r1(p):
@@ -402,13 +399,6 @@ def test_no_root_for_unphysical_parameters():
     # kx^2 > n m violates positivity; the balance residual never crosses zero
     with pytest.raises(NoRoot):
         solve_squeezings(StandardFormParams(2.0, 1.5, 1.9, -0.1))
-
-
-def test_no_root_off_the_solution_manifold():
-    # at m < 1 the factor m/r2 - 1 of t2 is negative at r1 = r2 = 1
-    balance = standard_form_solver._balance_kernel(3.0, 0.5, 1.0, -0.5)
-    with pytest.raises(NoRoot, match="balance residual undefined at r1 = 1.0"):
-        balance(1.0)
 
 
 def test_mode_just_below_the_vacuum_solves_as_the_vacuum():

@@ -1,6 +1,6 @@
 """Every threshold of the package is named once, in the tolerance table at
 the top of standard_form.py: no other line of src/ compares against a bare
-small float."""
+small float, and every name of the table is read somewhere in src/."""
 import ast
 from pathlib import Path
 
@@ -21,3 +21,18 @@ def test_every_tolerance_lives_in_the_table():
                   if isinstance(node, ast.Constant) and type(node.value) is float
                   and 0.0 < node.value <= 1e-6 and node not in table]
     assert stray == []
+
+
+def test_every_tolerance_decides_something():
+    # a name of the table that no src/ expression reads is a threshold left
+    # behind by a removed guard
+    tree = ast.parse((_PACKAGE / "standard_form.py").read_text(encoding="utf-8"))
+    table = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant)
+             and type(node.value.value) is float
+             for target in node.targets}
+    read = {node.id for path in _PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert "TOL_PSD" in table
+    assert table - read == set()
