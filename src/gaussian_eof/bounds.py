@@ -16,7 +16,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .eof_core import EofReport, _symmetric, eof, f_aux
+from .eof_core import EofReport, _entropy, _symmetric, eof, f_aux
 from .errors import Infeasible, SandwichViolation
 from .standard_form import (_VACUUM_TOL, SANDWICH_TOL, StandardFormParams,
                             check_canonical, validate_standard_form)
@@ -29,22 +29,6 @@ class GammaCandidate(NamedTuple):
     x0: float
     x1: float
     x3: float
-
-    @property
-    def det_gamma(self) -> float:
-        return self.x0 * self.x0 - self.x3 * self.x3 - self.x1 * self.x1
-
-    @property
-    def reduced_det(self) -> float:
-        return 1.0 + self.x1 * self.x1 / self.det_gamma
-
-    def constraint_residuals(self, params: StandardFormParams) -> tuple[float, float]:
-        """det(C_x - Gamma) and det(Gamma - C_p^{-1}), both 0 at a touching point."""
-        (p11, p22, p12), (k11, k22, k12) = _blocks(params)
-        du, dv = self.x0 + self.x3 - p11, self.x0 - self.x3 - p22
-        dx = self.x1 - p12
-        ex = k12 - dx
-        return (k11 - du) * (k22 - dv) - ex * ex, du * dv - dx * dx
 
 
 class BoundsReport(NamedTuple):
@@ -200,12 +184,14 @@ def _quartic_roots(a, b, c, d, e):
 def gaussian_eof(params: StandardFormParams) -> tuple[float, float]:
     """Gaussian EOF and the minimizer value m_opt.
 
-    Separable states short-circuit to (0, 1): the touching variety does not
-    contain the infimum there.  A pure state is its own optimal
-    decomposition, so its exact EOF f(Delta') is returned with
-    m_opt = (Delta' + 1/Delta')^2 / 4, for which
-    sqrt(m_opt) - sqrt(m_opt - 1) = Delta'.  Otherwise returns
-    f(sqrt(m_opt) - sqrt(m_opt - 1)).
+    m_opt = cosh^2 2r is the reduced determinant of the optimal pure state,
+    a two-mode squeezed state with s = sinh^2 r = (sqrt(m_opt) - 1) / 2, and
+    the value is its entanglement g(1 + s), with s formed as
+    (m_opt - 1) / (2 (sqrt(m_opt) + 1)), where nothing cancels.  Separable
+    states short-circuit to (0, 1): the touching variety does not contain
+    the infimum there.  A pure state is its own optimal decomposition, so
+    its exact EOF f(Delta') is returned with m_opt = (Delta' + 1/Delta')^2 / 4,
+    at which g(1 + s) = f(Delta').
     """
     return _gaussian_eof(params, eof(params))
 
@@ -220,7 +206,7 @@ def _gaussian_eof(params: StandardFormParams,
         dp = base.epr.delta0_prime
         return base.eof, (dp + 1.0 / dp) ** 2 / 4.0
     m_opt, _ = minimize_reduced_determinant(params)
-    return f_aux(math.sqrt(m_opt) - math.sqrt(m_opt - 1.0)), m_opt
+    return _entropy(0.5 * (m_opt - 1.0) / (math.sqrt(m_opt) + 1.0)), m_opt
 
 
 def rigolin_lower(params: StandardFormParams) -> float:

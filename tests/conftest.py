@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ def general_route_eof(params):
     """EOF in bits through the general solve (see general_route_epr)."""
     epr = general_route_epr(params)
     return 0.0 if epr.separable else f_aux(epr.delta0_prime)
+
+
+def pure_entropy(r):
+    """Exact entanglement of the two-mode squeezed vacuum, in bits."""
+    if r == 0.0:
+        return 0.0
+    ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
+    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
+
+
+def entropy_reference(s):
+    """g(1 + s) in bits for a Decimal s > 0, at 60 digits beyond the
+    |log10 s| that (1 + s) ln(1 + s) - s ln s cancels (large s) or that
+    1 + s must hold to keep s (small s)."""
+    with localcontext() as ctx:
+        ctx.prec = 60 + abs(s.adjusted())
+        return float(((1 + s) * (1 + s).ln() - s * s.ln()) / Decimal(2).ln())
 
 
 @pytest.fixture(scope="session")

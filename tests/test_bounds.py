@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from gaussian_eof import bounds as bounds_mod
 from gaussian_eof import cli, eof_core
 from gaussian_eof.standard_form import TOL_PSD
 
-from conftest import (entangled_params_at, general_route_eof,
-                      is_bona_fide_params, kx_at_nu_minus,
+from conftest import (entangled_params_at, entropy_reference,
+                      general_route_eof, is_bona_fide_params, kx_at_nu_minus,
                       log_uniform_entangled_params,
                       random_entangled_params,
                       random_symmetric_entangled_params)
@@ -29,6 +30,30 @@ def test_gaussian_eof_benchmark_rows():
     assert m_opt > 1.0
     val, _ = gaussian_eof(StandardFormParams(2.0, 1.5, 1.2, -1.0))
     assert val == pytest.approx(0.3836537389, abs=1e-6)
+
+
+def _g_at_m_opt(m_opt):
+    """g(1 + s) at s = (sqrt(m_opt) - 1) / 2, the float m_opt taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = (Decimal(m_opt).sqrt() - 1) / 2
+    return entropy_reference(s)
+
+
+def test_gaussian_eof_is_g_at_m_opt(table1_params):
+    # the optimal pure state is a two-mode squeezed state with m_opt =
+    # cosh^2 2r, so the value is g(1 + sinh^2 r) at the float m_opt, to a
+    # few ulps however large m_opt is
+    large = StandardFormParams(1962406595.4840434, 1962406595.483062,
+                               1962406595.4835525, -1962406595.4835525)
+    assert gaussian_eof(large)[1] == 7528896483843632.0
+    rng = np.random.default_rng(131)
+    states = (table1_params + [large]
+              + [random_entangled_params(rng) for _ in range(100)]
+              + [log_uniform_entangled_params(rng) for _ in range(200)])
+    for p in states:
+        val, m_opt = gaussian_eof(p)
+        assert val == pytest.approx(_g_at_m_opt(m_opt), rel=1e-15, abs=0.0), p
 
 
 def test_gaussian_eof_symmetric_equals_exact():
@@ -138,6 +163,25 @@ def test_gaussian_eof_properties(log_n, log_m, ratio, s, log_eps):
     assert noisy <= val + 1e-9
 
 
+def _det_gamma(cand):
+    """det Gamma of the pure-state x-block [[x0+x3, x1], [x1, x0-x3]]."""
+    return cand.x0 * cand.x0 - cand.x3 * cand.x3 - cand.x1 * cand.x1
+
+
+def _reduced_det(cand):
+    """1 + x1^2 / det Gamma, the objective minimize_reduced_determinant scores."""
+    return 1.0 + cand.x1 * cand.x1 / _det_gamma(cand)
+
+
+def _constraint_residuals(cand, params):
+    """det(C_x - Gamma) and det(Gamma - C_p^{-1}), both 0 at a touching point."""
+    (p11, p22, p12), (k11, k22, k12) = bounds_mod._blocks(params)
+    du, dv = cand.x0 + cand.x3 - p11, cand.x0 - cand.x3 - p22
+    dx = cand.x1 - p12
+    ex = k12 - dx
+    return (k11 - du) * (k22 - dv) - ex * ex, du * dv - dx * dx
+
+
 def test_minimizer_constraint_residuals():
     # every angle of the touching ellipse gives a Gamma between C_p^{-1}
     # and C_x that touches both, to rounding: the minimizer keeps no filter
@@ -150,8 +194,8 @@ def test_minimizer_constraint_residuals():
     for p in states:
         m_opt, cand = minimize_reduced_determinant(p)
         assert m_opt >= 1.0
-        assert cand.det_gamma > 0.0
-        assert cand.reduced_det == pytest.approx(m_opt, abs=1e-9)
+        assert _det_gamma(cand) > 0.0
+        assert _reduced_det(cand) == pytest.approx(m_opt, abs=1e-9)
         gamma = np.array([[cand.x0 + cand.x3, cand.x1],
                           [cand.x1, cand.x0 - cand.x3]])
         det_p = p.n * p.m - p.kp * p.kp
@@ -161,7 +205,7 @@ def test_minimizer_constraint_residuals():
         for diff in (below, above):
             assert np.linalg.eigvalsh(diff)[0] >= -1e-14 * scale
             assert abs(np.linalg.det(diff)) <= 1e-14 * scale ** 2
-        res_x, res_p = cand.constraint_residuals(p)
+        res_x, res_p = _constraint_residuals(cand, p)
         assert max(abs(res_x), abs(res_p)) <= 1e-14 * scale ** 2
 
 
@@ -285,7 +329,7 @@ def test_polish_matches_golden_section_reference(table1_params):
         m_opt, cand = minimize_reduced_determinant(p)
         assert m_opt <= ref * (1.0 + 1e-12)
         assert m_opt <= obj0
-        res_x, res_p = cand.constraint_residuals(p)
+        res_x, res_p = _constraint_residuals(cand, p)
         assert abs(res_x) < 1e-10 and abs(res_p) < 1e-10
 
 
@@ -374,7 +418,7 @@ def test_minimizer_degenerate_inputs(monkeypatch):
         m_opt, cand = minimize_reduced_determinant(p)
         assert math.isfinite(m_opt) and m_opt >= 1.0, p
         scale = max(p.n, p.m)   # of the entries
-        res_x, res_p = cand.constraint_residuals(p)
+        res_x, res_p = _constraint_residuals(cand, p)
         assert max(abs(res_x), abs(res_p)) <= 1e-10 * max(1.0, scale * scale), p
         if p in exact_pure:
             assert quartics == []
@@ -411,7 +455,7 @@ def test_minimizer_skips_angles_where_det_gamma_rounds_to_zero(monkeypatch):
     p = StandardFormParams(458497204.1392829, 458497204.84233105,
                            458497204.48873943, -458497204.48873943)
     m_opt, cand = minimize_reduced_determinant(p)
-    assert 1.0 <= m_opt < math.inf and cand.det_gamma > 0.0
+    assert 1.0 <= m_opt < math.inf and _det_gamma(cand) > 0.0
     assert bounds_mod._objective(0.0, (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)) == math.inf
     monkeypatch.setattr(bounds_mod, "_objective", lambda theta, ellipse: math.inf)
     with pytest.raises(Infeasible, match="det Gamma"):

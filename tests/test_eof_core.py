@@ -15,20 +15,13 @@ from gaussian_eof import bounds_report, eof_core
 from gaussian_eof.cli import main as cli_main
 from gaussian_eof.standard_form import TOL_PSD
 
-from conftest import (beam_splitter, fresh_python, general_route_eof,
-                      general_route_epr, is_bona_fide_params,
-                      is_entangled_params, kx_at_nu_minus, local_rotation,
-                      local_squeeze, near_pure_cm, random_local_symplectic,
+from conftest import (beam_splitter, entropy_reference, fresh_python,
+                      general_route_eof, general_route_epr,
+                      is_bona_fide_params, is_entangled_params,
+                      kx_at_nu_minus, local_rotation, local_squeeze,
+                      near_pure_cm, pure_entropy, random_local_symplectic,
                       two_mode_squeezer)
 from fock_oracle import entropy_of_spectrum, schmidt_coeffs_squeezed
-
-
-def pure_entropy(r):
-    """Exact entanglement of the two-mode squeezed vacuum, in bits."""
-    if r == 0.0:
-        return 0.0
-    ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
 
 
 def test_f_aux_endpoint():
@@ -481,31 +474,25 @@ def test_g_kappa():
         math.log2(1e100) + 1.0 / math.log(2.0), rel=1e-15)
 
 
-def _entropy_reference(s):
-    """g(1 + s) in bits for a Decimal s, at 300 digits (1e100 needs them)."""
-    with localcontext() as ctx:
-        ctx.prec = 300
-        return float(((1 + s) * (1 + s).ln() - s * s.ln()) / Decimal(2).ln())
-
-
 def _f_reference(delta):
-    """f(delta) at 300 digits, for the float delta taken exactly."""
+    """f(delta) for the float delta taken exactly: s at 300 digits, then g."""
     with localcontext() as ctx:
         ctx.prec = 300
         d = Decimal(delta)
-        return _entropy_reference((1 - d) ** 2 / (4 * d))
+        return entropy_reference((1 - d) ** 2 / (4 * d))
 
 
 def test_entropy_kernel_matches_a_300_digit_evaluation(capsys):
     # f and g evaluate one kernel; above s = 1 (Delta below 0.17, kappa
     # above 2) (1 + s) log2(1 + s) and s log2 s cancel, so it may not
     # subtract them there
-    for d in (0.9999999, 0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-100):
+    for d in (0.9999999, 0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-100,
+              1e-300, 1.4e-309):
         assert f_aux(d) == pytest.approx(_f_reference(d), rel=1e-15, abs=0.0), d
     # either side of kappa = 2, where the evaluation changes form
     for k in (1.5, 2.0 - 2.0 ** -52, 2.0, 2.0 + 2.0 ** -51, 10.0, 1e4, 1e8,
               1e12, 1e100):
-        ref = _entropy_reference(Decimal(k) - 1)
+        ref = entropy_reference(Decimal(k) - 1)
         assert g_kappa(k) == pytest.approx(ref, rel=1e-15, abs=0.0), k
     # a symmetric state 20 bits in: the printed EOF is f at the printed Delta0'
     code = cli_main(["eof", "--params", "1e6", "1e6", "999999.9999995",

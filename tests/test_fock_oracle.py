@@ -5,16 +5,10 @@ import pytest
 
 from gaussian_eof import DomainError, delta_prime, f_aux, uncertainty_floor
 
+from conftest import pure_entropy
 from fock_oracle import (SchmidtSpectrum, TruncationTooCoarse,
                          delta_of_spectrum, entropy_of_spectrum,
                          minimal_entropy_spectrum, schmidt_coeffs_squeezed)
-
-
-def closed_form_entropy(r):
-    if r == 0.0:
-        return 0.0
-    ch2, sh2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
 
 
 def test_zero_squeezing_spectrum():
@@ -54,7 +48,7 @@ def test_entropy_known_values():
 def test_entropy_matches_closed_form():
     spec = schmidt_coeffs_squeezed(0.8, 400)
     assert entropy_of_spectrum(spec) == pytest.approx(
-        closed_form_entropy(0.8), abs=1e-10)
+        pure_entropy(0.8), abs=1e-10)
 
 
 def test_truncation_too_coarse():

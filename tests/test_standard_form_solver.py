@@ -235,8 +235,7 @@ def test_root_finder_calls_and_agreement():
         f = _library_residual(p, r1)
         neighbours = (_library_residual(p, math.nextafter(r1, side))
                       for side in (0.0, math.inf))
-        assert f == 0.0 or any(g is not None and f * g <= 0.0
-                               for g in neighbours), p
+        assert f == 0.0 or any(f * g <= 0.0 for g in neighbours), p
         # with a mode within 1e-4 of the vacuum the residual sits at
         # rounding level over up to ~2e-10 of r1 (both roots have
         # |residual| ~ 1e-12), so the roots are compared elsewhere
