@@ -86,6 +86,14 @@ def decomposition_spec(params: StandardFormParams) -> DecompositionSpec:
                              target_cm=gamma_sigma)
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a value that is not an integer >= minimum; numpy ints pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
 def sample_displacements(spec: DecompositionSpec, n_samples: int,
                          seed: int) -> np.ndarray:
     """Draw displacement vectors from the Gaussian weight, covariance M/2.
@@ -93,24 +101,36 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     Sampling goes through the symmetric square root of M/2; eigenvalues
     below TOL_NULL_EIG max(lam_max, 1) are clamped to zero, so
     rank-deficient weights sample inside their column space.  The result
-    is reproducible for a given seed.
+    is one C-contiguous (n_samples, 4) array, filled chunk by chunk: chunk
+    i holds the standard normals of child i of SeedSequence(seed), times
+    the factor.  The children and the chunk size fix the stream, so the
+    result is reproducible for a given seed.
+
+    Raises:
+        DomainError: n_samples not an integer >= 0, or seed not an
+            integer >= 0.
     """
-    if n_samples < 0:
-        raise DomainError("n_samples must be >= 0")
+    _check_count("n_samples", n_samples, 0)
+    _check_count("seed", seed, 0)
     cov = 0.5 * spec.weight_matrix
     lam, vec = np.linalg.eigh(cov)
     # eigenvalues at numerical-noise level are null directions: exact zeros
     lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
-    # _CHUNK-sized draws from children spawned off the seed fix the random stream
-    # and keep the time steady: one (2e5, 4) product took 1 ms in most fresh
-    # processes, 80 ms in some; 13 chunks 1.1-6 ms (openblas 0.3.31, 2 vCPUs)
+    # the children spawned off the seed and _CHUNK fix the random stream;
+    # each chunk is drawn into one normals buffer and multiplied straight
+    # into its rows of the result.  The chunks keep the time steady: one
+    # (2e5, 4) product took 1 ms in most fresh processes, 80 ms in some;
+    # 13 chunks 1.1-6 ms (openblas 0.3.31, 2 vCPUs)
     n_chunks = max((n_samples + _CHUNK - 1) // _CHUNK, 1)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    chunks = [np.random.default_rng(child).standard_normal(
-        (min(_CHUNK, n_samples - i * _CHUNK), 4)) @ factor.T
-        for i, child in enumerate(seeds)]
-    return np.concatenate(chunks, axis=0)
+    samples = np.empty((n_samples, 4))
+    z = np.empty((min(_CHUNK, n_samples), 4))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        lo = i * _CHUNK
+        k = min(_CHUNK, n_samples - lo)
+        np.random.default_rng(child).standard_normal(out=z[:k])
+        np.matmul(z[:k], factor.T, out=samples[lo:lo + k])
+    return samples
 
 
 def reconstruct_cm(spec: DecompositionSpec, samples: np.ndarray) -> np.ndarray:
@@ -120,6 +140,7 @@ def reconstruct_cm(spec: DecompositionSpec, samples: np.ndarray) -> np.ndarray:
         raise DomainError("samples must have shape (n, 4)")
     if samples.shape[0] == 0:
         return spec.core_cm.copy()
+    # one product over all samples: a chunked sum would round differently
     second = samples.T @ samples / samples.shape[0]
     return spec.core_cm + 2.0 * second
 
@@ -129,10 +150,12 @@ def verify_reconstruction(params: StandardFormParams, n_samples: int = 100_000,
     """Monte-Carlo check that sampled displacements rebuild the target CM.
 
     The tolerance is the 5-standard-error bound 5 sqrt(2/n) max|gamma_sigma|
-    on the largest entrywise deviation; n_samples < 1 raises DomainError.
+    on the largest entrywise deviation.  n_samples must be an integer
+    >= 1 and seed an integer >= 0; anything else raises DomainError
+    before any work.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     spec = decomposition_spec(params)
     samples = sample_displacements(spec, n_samples, seed)
     gamma_hat = reconstruct_cm(spec, samples)

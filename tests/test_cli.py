@@ -124,6 +124,15 @@ def test_verify_decomposition_needs_a_sample(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_verify_decomposition_refuses_a_negative_seed(capsys):
+    # numpy's own ValueError used to name no argument
+    code, out, err = run_cli(capsys, "verify-decomposition", "--params",
+                             "2", "2", "1.2", "-0.8", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "seed must be >= 0, got -1"}
+
+
 def test_verify_decomposition_symmetric(capsys):
     code, out, _ = run_cli(capsys, "verify-decomposition", "--params",
                            "2", "2", "1.2", "-0.8", "--samples", "20000",

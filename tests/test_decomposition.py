@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from gaussian_eof import (DecompositionSpec, DomainError, NotPsd,
                           r_from_delta_prime, reconstruct_cm,
                           sample_displacements, squeezed_vacuum_cm,
                           standard_form_cm, verify_reconstruction)
+from gaussian_eof.decomposition import _CHUNK
+from gaussian_eof.standard_form import TOL_NULL_EIG
 
 SYMMETRIC = StandardFormParams(2.0, 2.0, 1.2, -0.8)
 
@@ -57,6 +60,74 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     c = sample_displacements(spec, 5000, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK + 7])
+def test_sampling_stream_across_chunks(n):
+    # the documented scheme: chunk i is the standard normals of child i of
+    # SeedSequence(seed), times the factor, in rows of at most _CHUNK
+    spec = decomposition_spec(SYMMETRIC)
+    lam, vec = np.linalg.eigh(0.5 * spec.weight_matrix)
+    lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
+    factor = (vec * np.sqrt(lam)) @ vec.T
+    children = np.random.SeedSequence(77).spawn(max(-(-n // _CHUNK), 1))
+    expected = np.concatenate(
+        [np.random.default_rng(child).standard_normal(
+            (min(_CHUNK, n - i * _CHUNK), 4)) @ factor.T
+         for i, child in enumerate(children)], axis=0)
+    got = sample_displacements(spec, n, seed=77)
+    assert got.shape == (n, 4) and got.dtype == np.float64
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
+def test_reconstruction_report_is_pinned():
+    # 13 chunks of draws and one second-moment product, bit for bit
+    assert verify_reconstruction(SYMMETRIC, 200_000, seed=12345) == {
+        "r_opt": 0.010205498630063804, "n_samples": 200000,
+        "max_abs_error": 0.001671452074510537,
+        "tolerance": 0.03872983346207416, "pass": True}
+
+
+def test_reconstruction_peak_memory():
+    # one (n, 4) result and one chunk of normals; 1.25x the result's 6.4 MB
+    n = 200_000
+    verify_reconstruction(SYMMETRIC, n, seed=1)   # warm-up
+    tracemalloc.start()
+    try:
+        verify_reconstruction(SYMMETRIC, n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * 4 * 8
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_samples": 2.5}, "n_samples must be an integer"),
+    ({"n_samples": True}, "n_samples must be an integer"),
+    ({"n_samples": "10"}, "n_samples must be an integer"),
+    ({"seed": 2.5}, "seed must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_sampling_refuses_non_integer_counts_and_seeds(kwargs, match):
+    spec = decomposition_spec(SYMMETRIC)
+    args = {"n_samples": 10, "seed": 1, **kwargs}
+    with pytest.raises(DomainError, match=match):
+        sample_displacements(spec, **args)
+    # refused before any work: this state would raise NotPsd
+    with pytest.raises(DomainError, match=match):
+        verify_reconstruction(StandardFormParams(2.0, 1.5, 1.0, -1.0), **args)
+
+
+def test_sampling_accepts_numpy_integers():
+    spec = decomposition_spec(SYMMETRIC)
+    assert np.array_equal(
+        sample_displacements(spec, np.int32(50), seed=np.uint64(4)),
+        sample_displacements(spec, 50, seed=4))
+    assert (verify_reconstruction(SYMMETRIC, np.int64(500), seed=np.int16(3))
+            == verify_reconstruction(SYMMETRIC, 500, seed=3))
 
 
 def test_sample_moments():
