@@ -11,6 +11,8 @@ It is the package's only numpy module, and holds the two CM constructors.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +22,9 @@ from .epr_uncertainty import r_from_delta_prime
 from .errors import DomainError, NotPsd
 from .standard_form import PSD_TOL, TOL_NULL_EIG, StandardFormParams
 
+# rows per chunk of draws; chunk i comes from child i of SeedSequence(seed),
+# so the chunks are independent and may be drawn on any number of threads
+# without changing a bit of the result
 _CHUNK = 16384
 
 
@@ -94,6 +99,13 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_displacements(spec: DecompositionSpec, n_samples: int,
                          seed: int) -> np.ndarray:
     """Draw displacement vectors from the Gaussian weight, covariance M/2.
@@ -106,9 +118,15 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     the factor.  The children and the chunk size fix the stream, so the
     result is reproducible for a given seed.
 
+    The chunks are drawn on min(usable CPUs, chunks) threads, which live
+    only for the call; one chunk or one CPU starts no thread.  Each
+    thread draws whole chunks into their own rows, and the calling thread
+    multiplies them in order through one buffer, so every draw and every
+    product, and hence the result, is the same at any number of threads.
+
     Raises:
-        DomainError: n_samples not an integer >= 0, or seed not an
-            integer >= 0.
+        DomainError: n_samples not an integer >= 0, seed not an integer
+            >= 0, or a result too large to allocate.
     """
     _check_count("n_samples", n_samples, 0)
     _check_count("seed", seed, 0)
@@ -117,19 +135,45 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     # eigenvalues at numerical-noise level are null directions: exact zeros
     lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
-    # the children spawned off the seed and _CHUNK fix the random stream;
-    # each chunk is drawn into one normals buffer and multiplied straight
-    # into its rows of the result.  The chunks keep the time steady: one
-    # (2e5, 4) product took 1 ms in most fresh processes, 80 ms in some;
-    # 13 chunks 1.1-6 ms (openblas 0.3.31, 2 vCPUs)
+    # allocated before any child is spawned, so an absurd n_samples fails
+    # here and not in spawning a child per chunk
+    try:
+        samples = np.empty((n_samples, 4))
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(
+            f"n_samples = {n_samples} needs {32 * n_samples} bytes of "
+            "samples, more than can be allocated") from exc
+    # the children spawned off the seed and _CHUNK fix the random stream.
+    # The chunks also keep the time steady: one (2e5, 4) product took 1 ms
+    # in most fresh processes, 80 ms in some; 13 chunks 1.1-6 ms (openblas
+    # 0.3.31, 2 vCPUs)
     n_chunks = max((n_samples + _CHUNK - 1) // _CHUNK, 1)
-    samples = np.empty((n_samples, 4))
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    chunks = [samples[i * _CHUNK:(i + 1) * _CHUNK] for i in range(n_chunks)]
     z = np.empty((min(_CHUNK, n_samples), 4))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        lo = i * _CHUNK
-        k = min(_CHUNK, n_samples - lo)
-        np.random.default_rng(child).standard_normal(out=z[:k])
-        np.matmul(z[:k], factor.T, out=samples[lo:lo + k])
+
+    def draw(i: int, out: np.ndarray) -> np.ndarray:
+        # numpy only: it releases the GIL while it draws, and no function of
+        # the package runs on a worker (perfbench/tracing.py's wrappers keep
+        # one span stack, which is not thread-safe)
+        np.random.default_rng(children[i]).standard_normal(out=out)
+        return out
+
+    workers = min(_usable_cpus(), n_chunks)
+    if workers == 1:
+        # straight into the buffer: no thread and no copy
+        for i, rows in enumerate(chunks):
+            np.matmul(draw(i, z[:len(rows)]), factor.T, out=rows)
+        return samples
+    with ThreadPoolExecutor(workers) as pool:
+        # the workers draw each chunk into its rows; this thread copies the
+        # chunks in order into the buffer and multiplies them back: the
+        # same product as above, and no temporary, which a product of the
+        # rows into themselves would allocate
+        for rows in pool.map(lambda i: draw(i, chunks[i]), range(n_chunks)):
+            k = len(rows)
+            z[:k] = rows
+            np.matmul(z[:k], factor.T, out=rows)
     return samples
 
 

@@ -133,6 +133,18 @@ def test_verify_decomposition_refuses_a_negative_seed(capsys):
                                "message": "seed must be >= 0, got -1"}
 
 
+def test_verify_decomposition_refuses_samples_beyond_memory(capsys):
+    # numpy's MemoryError used to end the command in a traceback
+    n = 10 ** 15
+    code, out, err = run_cli(capsys, "verify-decomposition", "--params",
+                             "2", "2", "1.2", "-0.8", "--samples", str(n))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": f"n_samples = {n} needs {32 * n} bytes of samples, "
+                   "more than can be allocated"}
+
+
 def test_verify_decomposition_symmetric(capsys):
     code, out, _ = run_cli(capsys, "verify-decomposition", "--params",
                            "2", "2", "1.2", "-0.8", "--samples", "20000",
@@ -496,12 +508,13 @@ def test_unknown_command_exits_one(capsys):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is no dependency and sampling runs on one thread; every
-    # command but verify-decomposition (the import, eof and bounds with
-    # --params or with --input on a gamma matrix, table1 and validate in
-    # every format, sweep-family and figure1) loads neither numpy nor scipy
-    # nor concurrent.futures, nor fractions, decimal, dataclasses and
-    # inspect, which cost milliseconds of every command's start
+    # scipy is no dependency, and only verify-decomposition samples, on a
+    # thread pool of concurrent.futures; every other command (the import,
+    # eof and bounds with --params or with --input on a gamma matrix, table1
+    # and validate in every format, sweep-family and figure1) loads neither
+    # numpy nor scipy nor concurrent.futures, nor fractions, decimal,
+    # dataclasses and inspect, which cost milliseconds of every command's
+    # start
     path = tmp_path / "state.json"
     gamma = standard_form_cm(StandardFormParams(2.0, 1.5, 1.0, -1.0), 1.0, 1.0)
     path.write_text(json.dumps({"gamma": gamma.tolist()}))

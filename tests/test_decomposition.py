@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from gaussian_eof import (DecompositionSpec, DomainError, NotPsd,
                           r_from_delta_prime, reconstruct_cm,
                           sample_displacements, squeezed_vacuum_cm,
                           standard_form_cm, verify_reconstruction)
+from gaussian_eof import decomposition
 from gaussian_eof.decomposition import _CHUNK
 from gaussian_eof.standard_form import TOL_NULL_EIG
 
@@ -62,24 +64,45 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
+def _pool_sizes(monkeypatch, cpus):
+    """Patch the usable CPU count; return the sizes of the pools started."""
+    sizes = []
+
+    class RecordingPool(decomposition.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(decomposition, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(decomposition, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                3 * _CHUNK + 7])
-def test_sampling_stream_across_chunks(n):
+def test_sampling_stream_across_chunks(monkeypatch, n):
     # the documented scheme: chunk i is the standard normals of child i of
-    # SeedSequence(seed), times the factor, in rows of at most _CHUNK
+    # SeedSequence(seed), times the factor, in rows of at most _CHUNK; the
+    # pool size must not change a bit of it
     spec = decomposition_spec(SYMMETRIC)
     lam, vec = np.linalg.eigh(0.5 * spec.weight_matrix)
     lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
-    children = np.random.SeedSequence(77).spawn(max(-(-n // _CHUNK), 1))
+    n_chunks = max(-(-n // _CHUNK), 1)
+    children = np.random.SeedSequence(77).spawn(n_chunks)
     expected = np.concatenate(
         [np.random.default_rng(child).standard_normal(
             (min(_CHUNK, n - i * _CHUNK), 4)) @ factor.T
          for i, child in enumerate(children)], axis=0)
-    got = sample_displacements(spec, n, seed=77)
-    assert got.shape == (n, 4) and got.dtype == np.float64
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, expected)
+    for cpus in (1, 2, 3, 8):
+        sizes = _pool_sizes(monkeypatch, cpus)
+        got = sample_displacements(spec, n, seed=77)
+        assert got.shape == (n, 4) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected), cpus
+        # min(CPUs, chunks) threads, and none where that is one
+        workers = min(cpus, n_chunks)
+        assert sizes == ([workers] if workers > 1 else []), cpus
 
 
 def test_reconstruction_report_is_pinned():
@@ -90,17 +113,51 @@ def test_reconstruction_report_is_pinned():
         "tolerance": 0.03872983346207416, "pass": True}
 
 
-def test_reconstruction_peak_memory():
-    # one (n, 4) result and one chunk of normals; 1.25x the result's 6.4 MB
+def test_reconstruction_peak_memory(monkeypatch):
+    # one (n, 4) result and one chunk of normals, 1.25x the result's 6.4 MB,
+    # whatever the pool size: the workers draw into the result
     n = 200_000
-    verify_reconstruction(SYMMETRIC, n, seed=1)   # warm-up
-    tracemalloc.start()
-    try:
-        verify_reconstruction(SYMMETRIC, n, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * n * 4 * 8
+    for cpus in (decomposition._usable_cpus(), 8):
+        monkeypatch.setattr(decomposition, "_usable_cpus", lambda: cpus)
+        verify_reconstruction(SYMMETRIC, n, seed=1)   # warm-up
+        tracemalloc.start()
+        try:
+            verify_reconstruction(SYMMETRIC, n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * 4 * 8, cpus
+
+
+def test_sampling_threads_end_with_the_call(monkeypatch):
+    sizes = _pool_sizes(monkeypatch, 4)
+    before = threading.active_count()
+    sample_displacements(decomposition_spec(SYMMETRIC), 3 * _CHUNK + 7, 3)
+    assert sizes == [4]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, n", [(8, 0), (8, 1), (8, 1000), (8, _CHUNK),
+                                     (1, 3 * _CHUNK + 7)])
+def test_one_chunk_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(decomposition, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(decomposition, "ThreadPoolExecutor", no_pool)
+    assert sample_displacements(decomposition_spec(SYMMETRIC), n,
+                                seed=5).shape == (n, 4)
+
+
+@pytest.mark.parametrize("n", [10 ** 15, 2 ** 63])
+def test_sampling_refuses_a_result_too_large_to_allocate(n):
+    # numpy's MemoryError (or ValueError past the index range) named no
+    # argument; no child is spawned for such a count
+    match = f"n_samples = {n} needs {32 * n} bytes"
+    with pytest.raises(DomainError, match=match):
+        sample_displacements(decomposition_spec(SYMMETRIC), n, seed=1)
+    with pytest.raises(DomainError, match=match):
+        verify_reconstruction(SYMMETRIC, n, seed=1)
 
 
 @pytest.mark.parametrize("kwargs, match", [
