@@ -15,6 +15,7 @@ imports the decomposition module once it has read its state.
 import argparse
 import json
 import math
+import re
 import sys
 
 from .eof_core import eof, g_kappa, giovannetti_family
@@ -69,6 +70,11 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # private to argparse, whose own pattern takes -1e0 for an option
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse default exits 2; we reserve that
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 

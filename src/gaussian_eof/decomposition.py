@@ -13,6 +13,7 @@ It is the package's only numpy module, and holds the two CM constructors.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +24,7 @@ from .errors import DomainError, NotPsd
 from .standard_form import PSD_TOL, TOL_NULL_EIG, StandardFormParams
 
 # rows per chunk of draws; chunk i comes from child i of SeedSequence(seed),
-# so the chunks are independent and may be drawn on any number of threads
-# without changing a bit of the result
+# whichever thread draws it, so no thread count changes a bit of the result
 _CHUNK = 16384
 
 
@@ -118,11 +118,11 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     the factor.  The children and the chunk size fix the stream, so the
     result is reproducible for a given seed.
 
-    The chunks are drawn on min(usable CPUs, chunks) threads, which live
-    only for the call; one chunk or one CPU starts no thread.  Each
-    thread draws whole chunks into their own rows, and the calling thread
-    multiplies them in order through one buffer, so every draw and every
-    product, and hence the result, is the same at any number of threads.
+    One loop draws chunk i into its rows, on min(usable CPUs, chunks)
+    threads that live only for the call (one chunk or one CPU starts
+    none), and the calling thread copies the chunks in order into one
+    buffer and multiplies them back: the same draws and products, and so
+    the same result, at any thread count; a failed draw raises in the caller.
 
     Raises:
         DomainError: n_samples not an integer >= 0, seed not an integer
@@ -130,8 +130,7 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     """
     _check_count("n_samples", n_samples, 0)
     _check_count("seed", seed, 0)
-    cov = 0.5 * spec.weight_matrix
-    lam, vec = np.linalg.eigh(cov)
+    lam, vec = np.linalg.eigh(0.5 * spec.weight_matrix)
     # eigenvalues at numerical-noise level are null directions: exact zeros
     lam[lam < TOL_NULL_EIG * max(float(lam[-1]), 1.0)] = 0.0
     factor = (vec * np.sqrt(lam)) @ vec.T
@@ -152,25 +151,19 @@ def sample_displacements(spec: DecompositionSpec, n_samples: int,
     chunks = [samples[i * _CHUNK:(i + 1) * _CHUNK] for i in range(n_chunks)]
     z = np.empty((min(_CHUNK, n_samples), 4))
 
-    def draw(i: int, out: np.ndarray) -> np.ndarray:
+    def draw(i: int) -> np.ndarray:
         # numpy only: it releases the GIL while it draws, and no function of
         # the package runs on a worker (perfbench/tracing.py's wrappers keep
         # one span stack, which is not thread-safe)
-        np.random.default_rng(children[i]).standard_normal(out=out)
-        return out
+        np.random.default_rng(children[i]).standard_normal(out=chunks[i])
+        return chunks[i]
 
     workers = min(_usable_cpus(), n_chunks)
-    if workers == 1:
-        # straight into the buffer: no thread and no copy
-        for i, rows in enumerate(chunks):
-            np.matmul(draw(i, z[:len(rows)]), factor.T, out=rows)
-        return samples
-    with ThreadPoolExecutor(workers) as pool:
-        # the workers draw each chunk into its rows; this thread copies the
-        # chunks in order into the buffer and multiplies them back: the
-        # same product as above, and no temporary, which a product of the
-        # rows into themselves would allocate
-        for rows in pool.map(lambda i: draw(i, chunks[i]), range(n_chunks)):
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # each chunk, copied in order into the buffer and multiplied back:
+        # the same products at any thread count, and no temporary, which a
+        # product of the rows into themselves would allocate
+        for rows in (map if pool is None else pool.map)(draw, range(n_chunks)):
             k = len(rows)
             z[:k] = rows
             np.matmul(z[:k], factor.T, out=rows)

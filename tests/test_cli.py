@@ -108,7 +108,7 @@ def test_bounds_at_large_n_prints_no_traceback(capsys):
     # raised ZeroDivisionError; the state is bona fide and eof() scores it
     code, out, err = run_cli(capsys, "bounds", "--params", "458497204.1392829",
                              "458497204.84233105", "458497204.48873943",
-                             " -458497204.48873943")
+                             "-458497204.48873943")
     if code:
         assert out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] in {"Infeasible", "SandwichViolation"}
@@ -210,14 +210,30 @@ def test_golden_output(capsys, case):
         case["code"], case["stdout"], case["stderr"])
 
 
-_HUGE = ["--params", "1e100", "2e100", "1e99", " -5e98"]
+def test_negative_numbers_in_exponent_notation_are_values(capsys):
+    # argparse's own pattern for a negative number has no exponent, so -1e0
+    # read as an option and --params took 3 of its 4 arguments: a kp printed
+    # as -5e-05 could not be passed back in
+    golden = next(case for case in _golden_cases() if case["argv"] == [
+        "eof", "--params", "2", "1.5", "1", "-1", "--format", "json"])
+    assert run_cli(capsys, "eof", "--params", "2", "1.5", "1", "-1e0",
+                   "--format", "json") == (
+        golden["code"], golden["stdout"], golden["stderr"])
+    code, out, err = run_cli(capsys, "figure1", "--a", "-1e-3", "--points", "2")
+    assert (code, err) == (0, "") and out
+    # an unknown option is still one
+    code, out, err = run_cli(capsys, "eof", "--paramz", "2", "1.5", "1", "-1")
+    assert (code, out) == (1, "") and "--paramz" in err
+
+
+_HUGE = ["--params", "1e100", "2e100", "1e99", "-5e98"]
 # n m and kx^2 overflow; in the second, nu_+^2 rounds to 0 (it divided by 0)
-_HUGER = ["--params", "1e200", "1e200", "1e199", " -1e199"]
+_HUGER = ["--params", "1e200", "1e200", "1e199", "-1e199"]
 _ROUNDED = ["--params", "1.635567709700921e+17", "1.63556770970092e+17",
-            "1.6355677097009203e+17", " -1.6355677097009203e+17"]
+            "1.6355677097009203e+17", "-1.6355677097009203e+17"]
 # the state's spectrum is finite, that of its partial transpose overflows
 _PT_OVERFLOW = ["--params", "8e76", "9.6e76", "8.680004608293248e+76",
-                " -7.812004147463923e+76"]
+                "-7.812004147463923e+76"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,6 +137,27 @@ def test_sampling_threads_end_with_the_call(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_failed_draw_reaches_the_caller(monkeypatch, cpus):
+    # the draw of the third child fails, on a worker where there is a pool;
+    # the caller gets that error and no thread outlives the call
+    default_rng = np.random.default_rng
+
+    def failing_rng(seed):
+        if seed.spawn_key == (2,):
+            raise RuntimeError("the draw of child 2 failed")
+        return default_rng(seed)
+
+    spec = decomposition_spec(SYMMETRIC)
+    sizes = _pool_sizes(monkeypatch, cpus)
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="child 2"):
+        sample_displacements(spec, 3 * _CHUNK + 7, seed=3)
+    assert threading.active_count() == before
+    assert sizes == ([min(cpus, 4)] if cpus > 1 else [])
+
+
 @pytest.mark.parametrize("cpus, n", [(8, 0), (8, 1), (8, 1000), (8, _CHUNK),
                                      (1, 3 * _CHUNK + 7)])
 def test_one_chunk_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
